@@ -1,12 +1,15 @@
+import hashlib
 import math
 import os
 import struct
+import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from svasym import simulate
-from svasym.errors import ValidationError
+from svasym.errors import ValidationError, VarianceWarning
 from svasym.model import ModelParams, Regime, VolFnSpec
 
 CONST = ModelParams(m=0.0, nu=math.sqrt(2.0), beta=0.0, rho=0.0, r=0.0,
@@ -161,3 +164,92 @@ class TestEstimators:
         with pytest.raises(ValidationError):
             simulate.moment_check(CONST, Regime.ULTRA_FAST, (0.5, 0.25), 1.0,
                                   1.0, mc)
+
+
+# Outputs pinned bit for bit: any change to the kernels' arithmetic, operand
+# order or stream layout changes these digests.  Each config spans two
+# blocks (BLOCK_PATHS + 512 paths) so the thread count has work to split.
+GOLDEN_PATHS = simulate.BLOCK_PATHS + 512
+OU_RHO = ModelParams(m=0.1, nu=1.2, beta=0.0, rho=-0.5, r=0.03,
+                     sigma=VolFnSpec.power_abs(1.0, 0.5), y0=0.3, x0=0.1)
+CIR_TRUNC = ModelParams(m=0.2, nu=1.0, beta=0.5, rho=0.3, r=0.0,
+                        sigma=VolFnSpec.power_abs(0.8, 0.25, 0.1), y0=0.05)
+TAB_BETA = ModelParams(m=1.0, nu=0.8, beta=0.75, rho=0.5, r=0.01,
+                       sigma=VolFnSpec.tabulated((0.1, 0.15, 0.2, 0.25),
+                                                 (0.15, 0.2, 0.3, 0.35), 0.2),
+                       y0=0.15)
+H_GRID = np.linspace(-6.0, 6.0, 241)
+H_TABLE = (H_GRID, 0.2 * H_GRID + 0.05 * np.sin(H_GRID))
+
+
+def _digest(*parts) -> str:
+    h = hashlib.sha256()
+    for part in parts:
+        h.update(np.ascontiguousarray(part, dtype="<f8").tobytes())
+    return h.hexdigest()[:16]
+
+
+def _xy(params, regime, eps, scheme):
+    mc = simulate.McConfig(paths=GOLDEN_PATHS, seed=101, scheme=scheme)
+    b = simulate.simulate_xy(params, regime, eps, 0.05, mc)
+    return _digest(b.x, b.y, b.int_sigma_sq, b.int_sigma_dw,
+                   [b.truncated_fraction, b.n_steps, b.dt])
+
+
+def _tilted(params, p, scheme="full_truncation", h=H_TABLE):
+    mc = simulate.McConfig(paths=GOLDEN_PATHS, steps_per_unit_time=100,
+                           seed=102, scheme=scheme)
+    tb = simulate.simulate_tilted(params, 0.12, mc, p=p, h=h,
+                                  y_start=params.y0 + 0.1, burn_in=0.03)
+    return _digest(tb.y, tb.int_sigma_sq, tb.int_sigma_dw2, [tb.duration])
+
+
+def _ergodic(params, phi, p, h=H_TABLE):
+    # default n_batches = 8: numpy sums 8 per-path batch values pairwise
+    # along a contiguous row but in sequence along a strided one, so the
+    # digest also pins the memory layout of the batch table
+    mc = simulate.McConfig(paths=GOLDEN_PATHS, steps_per_unit_time=100,
+                           seed=103)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        est = simulate.ergodic_average(params, phi, 0.2, mc, p=p, h=h)
+    n_warn = sum(issubclass(w.category, VarianceWarning) for w in caught)
+    return _digest([est.value, est.stderr, n_warn])
+
+
+GOLDEN = {
+    "xy_ou_rho": (lambda: _xy(OU_RHO, Regime.FAST, 0.5, "full_truncation"),
+                  "fc72908f3b1903c7"),
+    "xy_cir_full_truncation": (
+        lambda: _xy(CIR_TRUNC, Regime.FAST, 0.5, "full_truncation"),
+        "3f6131e9b6686bdd"),
+    "xy_cir_reflect": (lambda: _xy(CIR_TRUNC, Regime.FAST, 0.5, "reflect"),
+                       "fe711db4deef716f"),
+    "xy_tabulated_beta": (
+        lambda: _xy(TAB_BETA, Regime.ULTRA_FAST, 0.8, "full_truncation"),
+        "63649ac07565c62c"),
+    "tilted_ou": (lambda: _tilted(OU_RHO, 0.7), "22eefc6f4b711fd5"),
+    "tilted_cir": (lambda: _tilted(CIR_TRUNC, -1.0), "39a8e70983ed79d3"),
+    # rho = 0 with p < 0 gives a -0.0 tilt factor and no h table
+    "tilted_cir_untilted": (
+        lambda: _tilted(replace(CIR_TRUNC, rho=0.0), -1.0, h=None),
+        "0699a12d19315898"),
+    "tilted_tabulated_reflect": (lambda: _tilted(TAB_BETA, 0.5, "reflect"),
+                                 "dde6d73f1a5adad6"),
+    "ergodic_ou": (lambda: _ergodic(OU_RHO, lambda y: np.abs(y), 0.6),
+                   "40b92a1b325e3b0a"),
+    "ergodic_cir_untilted": (
+        lambda: _ergodic(CIR_TRUNC, lambda y: y, 0.0, h=None),
+        "f5d40196252dabb6"),
+    "ergodic_cir": (lambda: _ergodic(CIR_TRUNC, (H_GRID, H_GRID ** 2), 1.0),
+                    "6aa1a7ba2ba25bfe"),
+}
+
+
+class TestGoldenOutputs:
+    @pytest.mark.parametrize("threads", ["1", "2"])
+    @pytest.mark.parametrize("name", sorted(GOLDEN))
+    def test_digest(self, name, threads, monkeypatch):
+        monkeypatch.setenv("SVASYM_THREADS", threads)
+        run, expected = GOLDEN[name]
+        assert run() == expected
