@@ -153,25 +153,40 @@ def sigma_eval(spec: VolFnSpec, y, *, beta: float = 0.0):
     y_arr = np.asarray(y, dtype=float)
     if beta != 0.0 and np.any(y_arr <= 0.0):
         raise DomainError("sigma requested at y <= 0 while the state space is (0, inf)")
+    out = _sigma_into(spec, y_arr, np.empty_like(y_arr))
+    return out if np.ndim(y) else float(out)
+
+
+def _sigma_into(spec: VolFnSpec, y: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """Write sigma(y) into ``out`` (which must not alias ``y``) and return it.
+
+    No domain check: the caller guarantees that y lies in the state space.
+    """
     if spec.kind == "constant":
-        out = np.full_like(y_arr, spec.s0)
+        out.fill(spec.s0)
     elif spec.kind == "power_abs":
-        out = spec.c * (spec.a + np.abs(y_arr)) ** spec.q
+        # adding 0 to |y| and scaling by 1 are exact, so those passes are skipped
+        np.abs(y, out=out)
+        if spec.a != 0.0:
+            out += spec.a
+        out **= spec.q  # the operator keeps numpy's scalar-power fast paths
+        if spec.c != 1.0:
+            out *= spec.c
     elif spec.kind == "tabulated":
         g = np.asarray(spec.grid)
         v = np.asarray(spec.values)
-        out = np.interp(y_arr, g, v)
+        out[...] = np.interp(y, g, v)
         # power-law tails anchored at the table edges
         lo, hi = g[0], g[-1]
-        below = y_arr < lo
-        above = y_arr > hi
+        below = y < lo
+        above = y > hi
         if np.any(below) and lo != 0:
-            out = np.where(below, v[0] * (np.abs(y_arr) / abs(lo)) ** spec.growth_exponent, out)
+            np.copyto(out, v[0] * (np.abs(y) / abs(lo)) ** spec.growth_exponent, where=below)
         if np.any(above):
-            out = np.where(above, v[-1] * (np.abs(y_arr) / abs(hi)) ** spec.growth_exponent, out)
+            np.copyto(out, v[-1] * (np.abs(y) / abs(hi)) ** spec.growth_exponent, where=above)
     else:
         raise ValidationError(f"unknown sigma kind {spec.kind!r}")
-    return out if np.ndim(y) else float(out)
+    return out
 
 
 def sigma_sq(params: ModelParams, y):

@@ -161,7 +161,7 @@ def growth_bound_check(corrector: Corrector, params: ModelParams) -> GrowthBound
     growth exponent of sigma.
 
     The ratio |chi'| / y^{2g-1} is examined over the last decade of the
-    window; pass iff its log-log slope stays below 0.2 (a plateau, no
+    window; pass iff its log-log slope stays below 0.25 (a plateau, no
     monotone blow-up).  Raises NotApplicableError for beta = 0 with bounded
     sigma, where the bound degenerates to a logarithm.
     """

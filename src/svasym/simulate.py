@@ -29,7 +29,7 @@ import numpy as np
 from scipy.special import logsumexp
 
 from .errors import StabilityError, ValidationError, VarianceWarning
-from .model import ModelParams, Regime, sigma_eval
+from .model import ModelParams, Regime, _sigma_into
 
 BLOCK_PATHS = 65536
 SCHEMES = ("full_truncation", "reflect")
@@ -109,11 +109,11 @@ class TiltedBatch:
 
 
 def _worker_count() -> int:
-    try:
-        n = int(os.environ.get("SVASYM_THREADS", "0"))
-    except ValueError:
-        n = 0
-    return n if n > 0 else (os.cpu_count() or 1)
+    raw = os.environ.get("SVASYM_THREADS", "").strip()
+    if raw and not (raw.isascii() and raw.isdigit()):
+        raise ValidationError(
+            f"SVASYM_THREADS must be a nonnegative integer (0 or unset: auto), got {raw!r}")
+    return int(raw or 0) or (os.cpu_count() or 1)
 
 
 def _block_rng(seed: int, block: int) -> np.random.Generator:
@@ -137,6 +137,8 @@ def _map_blocks(n_paths: int, seed: int, fn: Callable[[np.random.Generator, int]
 def _check_mc(params: ModelParams, mc: McConfig) -> None:
     if mc.paths < 1:
         raise ValidationError("paths must be >= 1")
+    if not 0 <= mc.seed < 2 ** 64:
+        raise ValidationError(f"seed must lie in [0, 2^64), got {mc.seed}")
     if mc.scheme not in SCHEMES:
         raise ValidationError(f"unknown scheme {mc.scheme!r}; choose from {SCHEMES}")
     if params.beta != 0.0 and mc.steps_per_unit_time < 100:
@@ -145,41 +147,117 @@ def _check_mc(params: ModelParams, mc: McConfig) -> None:
             "(the factor is stiff near the boundary)")
 
 
-def _sigma_state(params: ModelParams, y: np.ndarray) -> np.ndarray:
-    """sigma at the positive part of the state (scheme contract: sigma is
-    never evaluated at a negative point)."""
-    if params.beta == 0.0:
-        return sigma_eval(params.sigma, y, beta=0.0)
-    return sigma_eval(params.sigma, np.maximum(y, 1e-300), beta=params.beta)
+class _FactorStepper:
+    """The factor process on one path block, stepped in preallocated buffers.
 
-
-def _step_y(params: ModelParams, y: np.ndarray, lam: float, dt: float,
-            w2: np.ndarray, scheme: str, extra_drift=None):
-    """One step of the factor process; returns (y_new, truncated_count).
-
-    beta = 0 uses the exact linear propagator (exponential integrator), so
-    the marginal law is exact for every step size; beta >= 1/2 uses the
-    chosen positivity scheme with coefficients frozen at the positive part.
+    Each step of :meth:`steps` draws the normals into ``w`` (rows W1, W2 when
+    ``correlated``, else W2 alone), clamps the state into ``yp``, yields to
+    the caller's accumulators, then advances ``y``.  beta = 0 uses the exact
+    linear propagator (exponential integrator), so the marginal law is exact
+    for every step size; beta >= 1/2 uses the chosen positivity scheme with
+    coefficients frozen at the positive part.  ``tilt`` = rho p adds the
+    drift rho p sigma(y) nu |y|^beta and an ``h`` table (grid, h') the
+    Girsanov shift nu^2 |y|^{2 beta} h'(y); a zero tilt is skipped.  Every
+    operation keeps the operand order of the plain array expression, so the
+    results are bit-identical to it.
     """
-    if np.max(np.abs(w2)) > 10.0:
-        raise StabilityError("a factor step exceeded 10 local standard deviations")
-    if params.beta == 0.0:
-        a = math.exp(-lam * dt)
-        y_new = params.m + (y - params.m) * a
-        if extra_drift is not None:
-            y_new = y_new + extra_drift * (1.0 - a) / lam
-        if params.nu > 0.0:
-            y_new = y_new + params.nu * math.sqrt(0.5 * (1.0 - a * a)) * w2
-        return y_new, 0
-    yp = np.maximum(y, 0.0)
-    drift = lam * (params.m - yp)
-    if extra_drift is not None:
-        drift = drift + extra_drift
-    y_new = y + drift * dt + params.nu * math.sqrt(lam * dt) * yp ** params.beta * w2
-    neg = int(np.count_nonzero(y_new < 0.0))
-    if scheme == "reflect":
-        y_new = np.abs(y_new)
-    return y_new, neg
+
+    def __init__(self, params: ModelParams, rng: np.random.Generator, n: int,
+                 y0: float, lam: float, dt: float, scheme: str, *,
+                 correlated: bool = False, tilt: float = 0.0, h=None):
+        self.params, self.rng, self.lam, self.dt = params, rng, lam, dt
+        self.reflect, self.tilt, self.h = scheme == "reflect", tilt, h
+        self.truncated = 0
+        self.w = np.empty((2 if correlated else 1, n))
+        self.y = np.full(n, y0)
+        self._sig, self._sig_ok = np.empty(n), False
+        # scratch only for the parts of the step this block runs
+        self._mix = np.empty(n) if correlated and params.rho != 0.0 else None
+        self._drift = np.empty(n) if tilt != 0.0 else None
+        if params.beta == 0.0:
+            self.yp = self.y
+            self._a = math.exp(-lam * dt)
+            self._noise = params.nu * math.sqrt(0.5 * (1.0 - self._a * self._a))
+        else:
+            self.yp, self._ys, self._ypb, self._d = (np.empty(n) for _ in range(4))
+            self._noise = params.nu * math.sqrt(lam * dt)
+
+    def sigma(self) -> np.ndarray:
+        """sigma at the clamped state of the current step, evaluated once.
+        That state is never <= 0, so sigma_eval's domain scan is skipped."""
+        if not self._sig_ok:
+            ys = self.y if self.params.beta == 0.0 else np.maximum(self.y, 1e-300, out=self._ys)
+            _sigma_into(self.params.sigma, ys, self._sig)
+            self._sig_ok = True
+        return self._sig
+
+    def terminal(self, *also: np.ndarray) -> np.ndarray:
+        """The final state, clamped at 0 when beta != 0; raises StabilityError
+        if it, or any array in ``also``, is not finite."""
+        if not all(np.all(np.isfinite(a)) for a in (*also, self.y)):
+            raise StabilityError("non-finite state encountered; step too coarse")
+        return np.maximum(self.y, 0.0) if self.params.beta != 0.0 else self.y
+
+    def steps(self, n_steps: int):
+        rho, w1, w2 = self.params.rho, self.w[0], self.w[-1]
+        for k in range(n_steps):
+            self.rng.standard_normal(out=self.w)
+            if self._mix is not None:  # W2 = rho W1 + sqrt(1 - rho^2) Z
+                w2 *= math.sqrt(1.0 - rho ** 2)
+                w2 += np.multiply(w1, rho, out=self._mix)
+            if self.params.beta != 0.0:
+                np.maximum(self.y, 0.0, out=self.yp)
+            self._sig_ok = False
+            yield k
+            self._advance(w2)
+
+    def _extra_drift(self):
+        """The tilt and h drifts at the clamped state, or None without either."""
+        prm, out = self.params, None
+        if self.tilt != 0.0:
+            out = np.multiply(self.sigma(), self.tilt, out=self._drift)
+            out *= prm.nu
+            if prm.beta != 0.0:
+                out *= self._ypb
+        if self.h is not None:
+            shift = prm.nu ** 2 * np.abs(self.yp) ** (2.0 * prm.beta) * np.interp(self.yp, *self.h)
+            out = shift if out is None else np.add(out, shift, out=out)
+        return out
+
+    def _advance(self, w2: np.ndarray) -> None:
+        prm, y = self.params, self.y
+        if w2.max() > 10.0 or w2.min() < -10.0:
+            raise StabilityError("a factor step exceeded 10 local standard deviations")
+        if prm.beta == 0.0:  # m + (y - m) a + extra (1 - a) / lam + noise W2
+            extra = self._extra_drift()
+            y -= prm.m
+            y *= self._a
+            y += prm.m
+            if extra is not None:
+                extra *= 1.0 - self._a
+                extra /= self.lam
+                y += extra
+            if prm.nu > 0.0:
+                w2 *= self._noise
+                y += w2
+            return
+        # y + (lam (m - yp) + extra) dt + noise yp^beta W2
+        ypb = self._ypb
+        np.copyto(ypb, self.yp)
+        ypb **= prm.beta  # the operator, like yp ** beta, takes sqrt at beta = 1/2
+        extra = self._extra_drift()
+        d = np.subtract(prm.m, self.yp, out=self._d)
+        d *= self.lam
+        if extra is not None:
+            d += extra
+        d *= self.dt
+        y += d
+        ypb *= self._noise
+        ypb *= w2
+        y += ypb
+        self.truncated += int(np.count_nonzero(y < 0.0))
+        if self.reflect:
+            np.abs(y, out=y)
 
 
 def simulate_xy(params: ModelParams, regime: Regime, eps: float, t: float,
@@ -193,39 +271,41 @@ def simulate_xy(params: ModelParams, regime: Regime, eps: float, t: float,
     dt = (delta / eps) / mc.steps_per_unit_time
     n_steps = max(1, int(math.ceil(t / dt)))
     dt = t / n_steps
-    rho_c = math.sqrt(1.0 - params.rho ** 2)
     sq_dt = math.sqrt(dt)
 
     def run(rng: np.random.Generator, n: int):
-        x = np.full(n, params.x0)
-        y = np.full(n, params.y0)
-        iss = np.zeros(n)
-        isw = np.zeros(n)
-        truncated = 0
-        for _ in range(n_steps):
-            w1 = rng.standard_normal(n)
-            w2 = params.rho * w1 + rho_c * rng.standard_normal(n)
-            sig = _sigma_state(params, y)
+        st = _FactorStepper(params, rng, n, params.y0, lam, dt, mc.scheme, correlated=True)
+        x, iss, isw = np.full(n, params.x0), np.zeros(n), np.zeros(n)
+        w1 = st.w[0]
+        for _ in st.steps(n_steps):
+            sig = st.sigma()
             sig_sq = sig * sig
             dw1 = sq_dt * w1
             x += eps * (params.r - 0.5 * sig_sq) * dt + math.sqrt(eps) * sig * dw1
             iss += sig_sq * dt
             isw += sig * dw1
-            y, neg = _step_y(params, y, lam, dt, w2, mc.scheme)
-            truncated += neg
-        if not (np.all(np.isfinite(x)) and np.all(np.isfinite(y))):
-            raise StabilityError("non-finite state encountered; step too coarse")
-        return x, np.maximum(y, 0.0) if params.beta != 0.0 else y, iss, isw, truncated
+        return x, st.terminal(x), iss, isw, st.truncated
 
     parts = _map_blocks(mc.paths, mc.seed, run)
-    total_steps = mc.paths * n_steps
-    return PathBatch(
-        x=np.concatenate([p[0] for p in parts]),
-        y=np.concatenate([p[1] for p in parts]),
-        int_sigma_sq=np.concatenate([p[2] for p in parts]),
-        int_sigma_dw=np.concatenate([p[3] for p in parts]),
-        truncated_fraction=sum(p[4] for p in parts) / total_steps,
-        seed=mc.seed, n_steps=n_steps, dt=dt)
+    x, y, iss, isw = (np.concatenate(col) for col in list(zip(*parts))[:4])
+    return PathBatch(x=x, y=y, int_sigma_sq=iss, int_sigma_dw=isw,
+                     truncated_fraction=sum(p[4] for p in parts) / (mc.paths * n_steps),
+                     seed=mc.seed, n_steps=n_steps, dt=dt)
+
+
+def _tilted_loop(params: ModelParams, T: float, mc: McConfig, p: float, h,
+                 y_start: Optional[float], burn_in: float):
+    """(n_steps, dt, burn_steps, stepper factory) of the tilted factor
+    process on its own clock (lam = 1), started at y_start (default y0)."""
+    dt = 1.0 / mc.steps_per_unit_time
+    n_steps = max(1, int(math.ceil(T / dt)))
+    dt = T / n_steps
+    y0 = params.y0 if y_start is None else float(y_start)
+    if h is not None:
+        grid = np.asarray(h[0], dtype=float)
+        h = (grid, np.gradient(np.asarray(h[1], dtype=float), grid))
+    return n_steps, dt, int(round(burn_in / dt)), lambda rng, n: _FactorStepper(
+        params, rng, n, y0, 1.0, dt, mc.scheme, tilt=params.rho * p, h=h)
 
 
 def simulate_tilted(params: ModelParams, T: float, mc: McConfig, *,
@@ -242,46 +322,22 @@ def simulate_tilted(params: ModelParams, T: float, mc: McConfig, *,
     _check_mc(params, mc)
     if not 0.0 <= burn_in < T:
         raise ValidationError("burn_in must lie in [0, T)")
-    dt = 1.0 / mc.steps_per_unit_time
-    n_steps = max(1, int(math.ceil(T / dt)))
-    dt = T / n_steps
-    burn_steps = int(round(burn_in / dt))
-    y0 = params.y0 if y_start is None else float(y_start)
-    if h is not None:
-        h_grid = np.asarray(h[0], dtype=float)
-        h_prime = np.gradient(np.asarray(h[1], dtype=float), h_grid)
-
-    def extra(yp: np.ndarray, sig: np.ndarray) -> np.ndarray:
-        out = params.rho * p * sig * params.nu * np.abs(yp) ** params.beta
-        if h is not None:
-            out = out + params.nu ** 2 * np.abs(yp) ** (2.0 * params.beta) \
-                * np.interp(yp, h_grid, h_prime)
-        return out
+    n_steps, dt, burn_steps, stepper = _tilted_loop(params, T, mc, p, h, y_start, burn_in)
+    sq_dt = math.sqrt(dt)
 
     def run(rng: np.random.Generator, n: int):
-        y = np.full(n, y0)
-        iss = np.zeros(n)
-        isw2 = np.zeros(n)
-        sq_dt = math.sqrt(dt)
-        for k in range(n_steps):
-            w2 = rng.standard_normal(n)
-            yp = np.maximum(y, 0.0) if params.beta != 0.0 else y
-            sig = _sigma_state(params, y)
+        st = stepper(rng, n)
+        iss, isw2 = np.zeros(n), np.zeros(n)
+        for k in st.steps(n_steps):
             if k >= burn_steps:
+                sig = st.sigma()
                 iss += sig * sig * dt
-                isw2 += sig * sq_dt * w2
-            y, _ = _step_y(params, y, 1.0, dt, w2, mc.scheme,
-                           extra_drift=extra(yp, sig))
-        if not np.all(np.isfinite(y)):
-            raise StabilityError("non-finite state encountered; step too coarse")
-        return np.maximum(y, 0.0) if params.beta != 0.0 else y, iss, isw2
+                isw2 += sig * sq_dt * st.w[0]
+        return st.terminal(), iss, isw2
 
-    parts = _map_blocks(mc.paths, mc.seed, run)
-    return TiltedBatch(
-        y=np.concatenate([q[0] for q in parts]),
-        int_sigma_sq=np.concatenate([q[1] for q in parts]),
-        int_sigma_dw2=np.concatenate([q[2] for q in parts]),
-        duration=T - burn_steps * dt, seed=mc.seed)
+    y, iss, isw2 = (np.concatenate(col) for col in zip(*_map_blocks(mc.paths, mc.seed, run)))
+    return TiltedBatch(y=y, int_sigma_sq=iss, int_sigma_dw2=isw2,
+                       duration=T - burn_steps * dt, seed=mc.seed)
 
 
 def ergodic_average(params: ModelParams, phi, T: float, mc: McConfig, *,
@@ -302,35 +358,21 @@ def ergodic_average(params: ModelParams, phi, T: float, mc: McConfig, *,
     else:
         g, v = np.asarray(phi[0], dtype=float), np.asarray(phi[1], dtype=float)
         phi_fn = lambda yy: np.interp(yy, g, v)
-    dt = 1.0 / mc.steps_per_unit_time
-    n_steps = max(1, int(math.ceil(T / dt)))
-    dt = T / n_steps
-    burn_steps = int(round(burn_in / dt))
+    n_steps, dt, burn_steps, stepper = _tilted_loop(params, T, mc, p, h, y_start, burn_in)
     acc_steps = n_steps - burn_steps
-    y0 = params.y0 if y_start is None else float(y_start)
-    if h is not None:
-        h_grid = np.asarray(h[0], dtype=float)
-        h_prime = np.gradient(np.asarray(h[1], dtype=float), h_grid)
 
     def run(rng: np.random.Generator, n: int):
-        y = np.full(n, y0)
-        batches = np.zeros((n, n_batches))
-        for k in range(n_steps):
-            w2 = rng.standard_normal(n)
-            yp = np.maximum(y, 0.0) if params.beta != 0.0 else y
-            ex = params.rho * p * _sigma_state(params, y) * params.nu \
-                * np.abs(yp) ** params.beta
-            if h is not None:
-                ex = ex + params.nu ** 2 * np.abs(yp) ** (2.0 * params.beta) \
-                    * np.interp(yp, h_grid, h_prime)
+        st = stepper(rng, n)
+        batches = np.zeros((n_batches, n))  # one contiguous row per batch
+        for k in st.steps(n_steps):
             if k >= burn_steps:
                 b = min((k - burn_steps) * n_batches // acc_steps, n_batches - 1)
-                batches[:, b] += phi_fn(yp if params.beta != 0.0 else y)
-            y, _ = _step_y(params, y, 1.0, dt, w2, mc.scheme, extra_drift=ex)
-        return (batches,)
+                batches[b] += phi_fn(st.yp)
+        return batches
 
-    parts = _map_blocks(mc.paths, mc.seed, run)
-    batches = np.concatenate([q[0] for q in parts], axis=0)
+    # C order (paths, n_batches), so each path's batch sum below runs along a row
+    batches = np.concatenate([q.T for q in _map_blocks(mc.paths, mc.seed, run)],
+                             out=np.empty((mc.paths, n_batches)))
     per_batch_steps = np.bincount(
         np.minimum(np.arange(acc_steps) * n_batches // acc_steps, n_batches - 1),
         minlength=n_batches)

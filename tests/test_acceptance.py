@@ -22,6 +22,8 @@ import pytest
 
 from svasym import verify
 
+pytestmark = pytest.mark.acceptance
+
 EXPECTED_STRUCTURAL_FAIL = {
     "C4": "Monte Carlo growth-rate bias decays like 1/T at |p| = 2; the "
           "pinned horizon/path budget cannot reach the 0.02 tolerance",

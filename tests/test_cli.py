@@ -129,6 +129,11 @@ class TestDispatch:
         assert cli.dispatch(["validate", "--config", cfg_path,
                              "--no-such-flag"]) == 2
 
+    def test_seed_out_of_range_exit_code(self, cfg_path, tmp_path):
+        for seed in ("-1", str(2 ** 64)):
+            assert cli.dispatch(["simulate", "--config", cfg_path,
+                                 "--out", str(tmp_path), "--seed", seed]) == 1
+
     def test_missing_config_exit_code(self, tmp_path):
         assert cli.dispatch(["validate", "--config",
                              str(tmp_path / "absent.cfg")]) == 1

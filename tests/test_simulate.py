@@ -85,6 +85,26 @@ class TestSimulateXY:
             simulate.simulate_xy(
                 OU, Regime.FAST, 0.5, 1.0,
                 simulate.McConfig(paths=10, scheme="euler"))
+        for seed in (-1, 2 ** 64):
+            with pytest.raises(ValidationError):
+                simulate.simulate_xy(OU, Regime.FAST, 0.5, 1.0,
+                                     simulate.McConfig(paths=10, seed=seed))
+
+    @pytest.mark.parametrize("value", ["two", "1.5", "-1"])
+    def test_bad_thread_count_names_the_variable(self, value, monkeypatch):
+        monkeypatch.setenv("SVASYM_THREADS", value)
+        with pytest.raises(ValidationError, match="SVASYM_THREADS"):
+            simulate.simulate_xy(OU, Regime.FAST, 0.5, 0.2,
+                                 simulate.McConfig(paths=10))
+
+    @pytest.mark.parametrize("value", ["", "0"])
+    def test_unset_or_zero_thread_count_means_auto(self, value, monkeypatch):
+        monkeypatch.setenv("SVASYM_THREADS", value)
+        mc = simulate.McConfig(paths=10, seed=4)
+        a = simulate.simulate_xy(OU, Regime.FAST, 0.5, 0.2, mc)
+        monkeypatch.delenv("SVASYM_THREADS")
+        b = simulate.simulate_xy(OU, Regime.FAST, 0.5, 0.2, mc)
+        assert np.array_equal(a.x, b.x)
 
     def test_summary_csv_single_record(self, tmp_path):
         mc = simulate.McConfig(paths=500, seed=9)
