@@ -317,7 +317,7 @@ def simulate_tilted(params: ModelParams, T: float, mc: McConfig, *,
     ``p`` adds the momentum tilt rho p sigma(y) nu |y|^beta to the drift; an
     ``h`` table (grid, values) adds the Girsanov shift nu^2 |y|^{2 beta}
     h'(y).  Accumulators (int sigma^2 ds, int sigma dW2) start after
-    ``burn_in``.
+    ``burn_in``; a non-finite state or accumulator raises StabilityError.
     """
     _check_mc(params, mc)
     if not 0.0 <= burn_in < T:
@@ -333,7 +333,7 @@ def simulate_tilted(params: ModelParams, T: float, mc: McConfig, *,
                 sig = st.sigma()
                 iss += sig * sig * dt
                 isw2 += sig * sq_dt * st.w[0]
-        return st.terminal(), iss, isw2
+        return st.terminal(iss, isw2), iss, isw2
 
     y, iss, isw2 = (np.concatenate(col) for col in zip(*_map_blocks(mc.paths, mc.seed, run)))
     return TiltedBatch(y=y, int_sigma_sq=iss, int_sigma_dw2=isw2,
@@ -348,7 +348,8 @@ def ergodic_average(params: ModelParams, phi, T: float, mc: McConfig, *,
     ``phi`` is a callable on arrays or a (grid, values) table.  The standard
     error is taken across independent paths; a VarianceWarning is issued
     when consecutive within-path time batches remain correlated (batch
-    length shorter than the mixing time).
+    length shorter than the mixing time).  A non-finite state or batch sum
+    raises StabilityError.
     """
     _check_mc(params, mc)
     if burn_in is None:
@@ -368,6 +369,7 @@ def ergodic_average(params: ModelParams, phi, T: float, mc: McConfig, *,
             if k >= burn_steps:
                 b = min((k - burn_steps) * n_batches // acc_steps, n_batches - 1)
                 batches[b] += phi_fn(st.yp)
+        st.terminal(batches)
         return batches
 
     # C order (paths, n_batches), so each path's batch sum below runs along a row

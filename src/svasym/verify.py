@@ -14,17 +14,18 @@ import os
 import tempfile
 import time
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Optional, Sequence, Tuple
 
 import numpy as np
 from scipy.stats import gamma as gamma_dist
 from scipy.stats import norm, spearmanr
 from scipy.interpolate import CubicSpline
+from scipy.special import log_ndtr
 
 from . import hamiltonian as ham
 from . import measures, poisson, rates, simulate
-from .errors import SvasymError
+from .errors import SvasymError, ValidationError
 from .model import ModelParams, Regime, VolFnSpec, validate
 
 WILSON_Z = 1.959963984540054  # two-sided 95%
@@ -34,13 +35,14 @@ MIN_HITS = 50
 @dataclass(frozen=True)
 class EpsPoint:
     eps: float
-    hits: int
+    hits: int            # effective tail count: the binomial hit count with
+                         # the same relative SE, min(paths, (1 - p_hat) / relSE^2)
     paths: int
-    p_hat: float
+    p_hat: float         # path mean of the conditional tail probability
     estimate: float      # eps * log p_hat
-    ci_lo: float         # on the eps * log P scale
-    ci_hi: float
-    undersampled: bool
+    ci_lo: float         # estimate -+ eps WILSON_Z relSE (delta method), on
+    ci_hi: float         # the eps * log P scale
+    undersampled: bool   # hits < MIN_HITS: relSE above about 1/sqrt(MIN_HITS)
 
 
 @dataclass(frozen=True)
@@ -84,15 +86,65 @@ def wilson_interval(hits: int, n: int, z: float = WILSON_Z) -> Tuple[float, floa
     return max(center - half, 0.0), min(center + half, 1.0)
 
 
+def _point_seed(seed: int, k: int) -> int:
+    """Seed of eps point k: sub-stream k of ``seed``, so no two (seed, k)
+    pairs share a stream (seed + k would give seed s point 1 the stream of
+    seed s + 1 point 0)."""
+    return int(np.random.SeedSequence([seed, k]).generate_state(1, np.uint64)[0])
+
+
+def _log_tail(params: ModelParams, regime: Regime, eps: float, t: float,
+              x: float, upper: bool, mc: simulate.McConfig) -> Tuple[float, float]:
+    """log P(X_t > x) (X_t < x when not ``upper``) and the relative SE of P.
+
+    Given the factor path, the Euler X of ``simulate_xy`` is exactly
+    N(mu, s^2) with mu = x0 + eps (r t - I/2) + rho sqrt(eps) J and
+    s^2 = eps (1 - rho^2) I, where I = int sigma^2 ds and J = int sigma dW2
+    in slow time.  So P is the path mean of Phi-bar(+-(x - mu)/s), taken in
+    log space.  The factor runs on its own clock u = lam s, with the same
+    steps as ``simulate_xy`` and W2 draws only; the returned arrays are
+    reused in place.
+    """
+    lam = eps / eps ** regime.r
+    tb = simulate.simulate_tilted(params, lam * t, mc)
+    rho, n = params.rho, mc.paths
+    z, s, scratch = tb.int_sigma_dw2, tb.int_sigma_sq, tb.y
+    z *= rho * math.sqrt(eps / lam)                  # rho sqrt(eps) J
+    z -= np.multiply(s, 0.5 * eps / lam, out=scratch)
+    z += params.x0 + eps * params.r * t - x          # mu - x
+    s *= eps * (1.0 - rho * rho) / lam
+    np.sqrt(s, out=s)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        z /= s
+    np.copyto(z, -np.inf, where=np.isnan(z))         # s = 0 and mu = x: P = 0
+    if not upper:
+        np.negative(z, out=z)
+    log_p = log_ndtr(z, out=z)
+    top = float(np.max(log_p))
+    if top == -math.inf:
+        return -math.inf, math.inf
+    # log-sum-exp: w = P / max P, then the delta-method SE of the mean
+    log_p -= top
+    w = np.exp(log_p, out=log_p)
+    mean = float(np.mean(w))
+    w -= mean
+    var = float(np.sum(np.multiply(w, w, out=scratch))) / max(n - 1, 1)
+    return top + math.log(mean), math.sqrt(var / n) / mean
+
+
 def ldp_tail(params: ModelParams, regime: Regime, x: float, t: float,
              eps_sequence: Sequence[float], mc: simulate.McConfig, *,
              predicted: Optional[float] = None,
              sigma_bar_sq: Optional[float] = None,
              legendre=None) -> LdpReport:
-    """Estimate eps * log P(X > x) (or < x below the start) by plain MC.
+    """Estimate eps * log P(X > x) (or < x below the start) by conditional MC.
 
-    Each eps runs on its own Philox stream (seed offset by its index).  The
-    verdict is PASS when the estimates trend monotonically toward the
+    Only the factor is simulated; each path contributes the exact Gaussian
+    tail of ``simulate_xy``'s X given its factor path (see ``_log_tail``)
+    in place of a 0/1 hit.  ``hits`` is then the effective hit count, the
+    binomial count with the same relative SE.  Each eps runs on its own
+    Philox stream, sub-stream k of ``mc.seed`` (``np.random.SeedSequence``).
+    The verdict is PASS when the estimates trend monotonically toward the
     predicted limit (Spearman sign test) and the final point lies within
     max(15% relative, its CI width) of the prediction.
     """
@@ -101,6 +153,11 @@ def ldp_tail(params: ModelParams, regime: Regime, x: float, t: float,
     eps_sequence = tuple(float(e) for e in eps_sequence)
     if any(b >= a for a, b in zip(eps_sequence, eps_sequence[1:])):
         raise SvasymError("eps_sequence must be strictly decreasing")
+    simulate._check_mc(params, mc)
+    if not all(0.0 < e <= 1.0 for e in eps_sequence):
+        raise ValidationError("eps must lie in (0, 1]")
+    if t <= 0:
+        raise ValidationError("t must be > 0")
     upper = x > params.x0
     if predicted is None:
         if regime is Regime.ULTRA_FAST:
@@ -110,19 +167,19 @@ def ldp_tail(params: ModelParams, regime: Regime, x: float, t: float,
 
     points = []
     for k, eps in enumerate(eps_sequence):
-        cfg = simulate.McConfig(paths=mc.paths,
-                                steps_per_unit_time=mc.steps_per_unit_time,
-                                seed=mc.seed + k, scheme=mc.scheme)
-        batch = simulate.simulate_xy(params, regime, eps, t, cfg)
-        hits = int(np.count_nonzero(batch.x > x if upper else batch.x < x))
-        p_hat = hits / mc.paths
-        lo, hi = wilson_interval(hits, mc.paths)
-        est = eps * math.log(p_hat) if hits > 0 else -math.inf
-        points.append(EpsPoint(
-            eps=eps, hits=hits, paths=mc.paths, p_hat=p_hat, estimate=est,
-            ci_lo=eps * math.log(lo) if lo > 0 else -math.inf,
-            ci_hi=eps * math.log(hi) if hi > 0 else -math.inf,
-            undersampled=hits < MIN_HITS))
+        cfg = replace(mc, seed=_point_seed(mc.seed, k))
+        log_p, rel_se = _log_tail(params, regime, eps, t, x, upper, cfg)
+        p_hat = math.exp(log_p)
+        if log_p == -math.inf:  # no path reaches x: 0 hits, Wilson upper bound
+            hits, est, lo = 0, -math.inf, -math.inf
+            hi = eps * math.log(wilson_interval(0, mc.paths)[1])
+        else:
+            hits = int(min(mc.paths, (1.0 - p_hat) / rel_se ** 2 if rel_se > 0 else math.inf))
+            est, half = eps * log_p, eps * WILSON_Z * rel_se
+            lo, hi = est - half, est + half
+        points.append(EpsPoint(eps=eps, hits=hits, paths=mc.paths, p_hat=p_hat,
+                               estimate=est, ci_lo=lo, ci_hi=hi,
+                               undersampled=hits < MIN_HITS))
 
     finite = [(q.eps, q.estimate) for q in points if math.isfinite(q.estimate)]
     if len(finite) >= 3:

@@ -111,6 +111,16 @@ class TestDispatch:
         assert blob1 == blob2
         assert blob1 != blob3
 
+    def test_verify_ldp_artifact(self, cfg_path, tmp_path):
+        # constant sigma: every path carries the same Gaussian tail, so each
+        # point is fully resolved
+        out = tmp_path / "out"
+        assert cli.dispatch(["verify-ldp", "--config", cfg_path,
+                             "--out", str(out)]) == 0
+        doc = json.loads((out / "ldp.json").read_text())
+        assert [q["eps"] for q in doc["points"]] == [0.5, 0.35, 0.25, 0.18]
+        assert all(q["hits"] == q["paths"] == 2000 for q in doc["points"])
+
     def test_simulate_raw_record_file(self, cfg_path, tmp_path):
         out = tmp_path / "out"
         code = cli.dispatch(["simulate", "--config", cfg_path,
@@ -144,7 +154,8 @@ class TestDispatch:
         path.write_text("m = 0.3\nnu = 1\nbeta = 0.5\nrho = 0\ny0 = 1\n"
                         "sigma.kind = power_abs\nsigma.c = 1\nsigma.q = 0.25\n",
                         encoding="utf-8")
-        assert cli.dispatch(["validate", "--config", str(path)]) == 1
+        assert cli.dispatch(["validate", "--config", str(path),
+                             "--out", str(tmp_path)]) == 1
 
     def test_regime_override(self, tmp_path):
         # the momentum window must be wide enough that the conjugate covers

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from svasym import simulate
-from svasym.errors import ValidationError, VarianceWarning
+from svasym.errors import StabilityError, ValidationError, VarianceWarning
 from svasym.model import ModelParams, Regime, VolFnSpec
 
 CONST = ModelParams(m=0.0, nu=math.sqrt(2.0), beta=0.0, rho=0.0, r=0.0,
@@ -159,6 +159,19 @@ class TestTiltedAndErgodic:
         est = simulate.ergodic_average(OU, lambda y: y, 30.0, mc,
                                        h=(grid, c * grid))
         assert est.value == pytest.approx(2 * c, abs=5 * max(est.stderr, 1e-4))
+
+    def test_non_finite_state_raises(self):
+        # sigma grows like |y|^3 beyond the table, so the tilt drift
+        # rho p sigma nu overflows the state within a few steps
+        params = ModelParams(m=0.0, nu=math.sqrt(2.0), beta=0.0, rho=0.5, r=0.0,
+                             sigma=VolFnSpec.tabulated((-1.0, 1.0), (1.0, 1.0), 3.0),
+                             y0=2.0)
+        mc = simulate.McConfig(paths=100, seed=1)
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(StabilityError):
+                simulate.ergodic_average(params, lambda y: y, 1.0, mc, p=50.0)
+            with pytest.raises(StabilityError):
+                simulate.simulate_tilted(params, 1.0, mc, p=50.0)
 
     def test_burn_in_bounds(self):
         mc = simulate.McConfig(paths=10)

@@ -1,11 +1,15 @@
+import hashlib
+import json
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
+from scipy.stats import norm
 
 from svasym import hamiltonian as ham
 from svasym import measures, simulate, verify
-from svasym.errors import SvasymError
+from svasym.errors import SvasymError, ValidationError
 from svasym.model import Regime, validate
 
 
@@ -62,6 +66,97 @@ class TestLdpTail:
             assert 0 <= q.hits <= q.paths
             if q.hits > 0:
                 assert q.ci_lo <= q.estimate <= q.ci_hi
+
+    def test_rejects_bad_eps_and_seed_before_simulating(self):
+        params = verify.fixture_ou()
+        for eps_seq, seed in (((1.5, 0.5), 1), ((0.5, 0.0), 1), ((0.5, 0.25), -1)):
+            with pytest.raises(ValidationError):
+                verify.ldp_tail(params, Regime.ULTRA_FAST, 0.1, 1.0, eps_seq,
+                                simulate.McConfig(paths=10, seed=seed),
+                                predicted=-1.0)
+
+    def test_constant_sigma_is_the_closed_form(self):
+        # X_t is exactly N(x0 - eps s0^2 t / 2, eps s0^2 t) whatever the
+        # factor does, so every path gives the same tail and the SE is 0
+        params = verify.fixture_bs()
+        x, t = 0.1, 1.0
+        report = verify.ldp_tail(params, Regime.ULTRA_FAST, x, t,
+                                 (0.5, 0.35, 0.25), simulate.McConfig(paths=2_000),
+                                 sigma_bar_sq=0.04)
+        for q in report.points:
+            sd = math.sqrt(q.eps * 0.04 * t)
+            closed = norm.sf((x - params.x0 + 0.5 * q.eps * 0.04 * t) / sd)
+            assert q.p_hat == pytest.approx(closed, rel=1e-12)
+            assert q.hits == q.paths and q.ci_lo == q.ci_hi == q.estimate
+
+    def test_eps_points_use_independent_substreams(self):
+        # with seed + k, point 1 of seed s and point 0 of seed s + 1 shared
+        # one stream and so one estimate
+        params = verify.fixture_ou()
+        mc = simulate.McConfig(paths=2_000, seed=7)
+        a = verify.ldp_tail(params, Regime.ULTRA_FAST, 0.3, 1.0, (0.6, 0.5),
+                            mc, predicted=-1.0)
+        b = verify.ldp_tail(params, Regime.ULTRA_FAST, 0.3, 1.0, (0.5,),
+                            replace(mc, seed=8), predicted=-1.0)
+        again = verify.ldp_tail(params, Regime.ULTRA_FAST, 0.3, 1.0, (0.6, 0.5),
+                                mc, predicted=-1.0)
+        assert a.points[1].p_hat != b.points[0].p_hat
+        assert a.to_json() == again.to_json()
+
+    def test_thread_count_does_not_change_report(self, monkeypatch):
+        docs = []
+        for threads in ("1", "2"):
+            monkeypatch.setenv("SVASYM_THREADS", threads)
+            docs.append(_golden_report().to_json())
+        assert docs[0] == docs[1]
+
+    def test_golden_digest(self):
+        # pins the factor stream, the sub-stream seeds and the in-place
+        # post-processing bit for bit
+        doc = json.dumps(_golden_report().to_json(), sort_keys=True)
+        assert hashlib.sha256(doc.encode()).hexdigest()[:16] == "5610d86fe863bf26"
+
+
+def _golden_report():
+    # two path blocks, correlated factor, lower tail
+    params = replace(verify.fixture_ou(), rho=-0.5, r=0.02)
+    mc = simulate.McConfig(paths=simulate.BLOCK_PATHS + 512,
+                           steps_per_unit_time=20, seed=104)
+    return verify.ldp_tail(params, Regime.ULTRA_FAST, -0.2, 0.5, (0.7, 0.6, 0.5),
+                           mc, sigma_bar_sq=measures.sigma_bar_sq(params))
+
+
+ORACLE_CASES = {
+    # name: (params, regime, x, eps values, steps per unit time)
+    "ou": (verify.fixture_ou(), Regime.ULTRA_FAST, 0.5, (0.6, 0.5), 50),
+    "ou_rho": (replace(verify.fixture_ou(), rho=-0.5), Regime.ULTRA_FAST, -0.5,
+               (0.6, 0.5), 50),
+    "cir": (verify.fixture_cir(), Regime.ULTRA_FAST, 0.5, (0.6, 0.5), 100),
+    "fast_rho": (replace(verify.fixture_ou(), rho=-0.5), Regime.FAST, 0.4,
+                 (0.25, 0.1), 50),
+}
+
+
+@pytest.mark.parametrize("name", sorted(ORACLE_CASES))
+def test_conditional_tail_matches_raw_hit_count(name):
+    # the raw X of simulate_xy is the oracle: at every eps where both
+    # resolve, the two estimates agree within 3 combined standard errors
+    params, regime, x, eps_seq, spu = ORACLE_CASES[name]
+    mc = simulate.McConfig(paths=20_000, steps_per_unit_time=spu, seed=11)
+    report = verify.ldp_tail(params, regime, x, 1.0, eps_seq, mc, predicted=-1.0)
+    resolved = 0
+    for q in report.points:
+        raw = simulate.simulate_xy(params, regime, q.eps, 1.0, replace(mc, seed=12))
+        hits = int(np.count_nonzero(raw.x > x if x > params.x0 else raw.x < x))
+        if hits < verify.MIN_HITS or q.undersampled:
+            continue
+        resolved += 1
+        p_raw = hits / mc.paths
+        se_raw = math.sqrt(p_raw * (1.0 - p_raw) / mc.paths)
+        se = q.p_hat * (q.ci_hi - q.estimate) / (q.eps * verify.WILSON_Z)
+        assert abs(q.p_hat - p_raw) <= 3.0 * math.hypot(se, se_raw), q
+        assert se < se_raw  # the point of conditioning
+    assert resolved == len(eps_seq)
 
 
 class TestRegimeCompare:
