@@ -1,4 +1,6 @@
+import hashlib
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -129,3 +131,115 @@ class TestConjugacy:
         assert hull[100] < dented[100]
         # convexity of the repaired curve
         assert np.min(np.diff(hull, 2)) > -1e-12
+
+
+# Transform outputs pinned bit for bit: any change to the sup scan, the
+# parabolic refinement or their operand order changes these digests.
+P_GOLD = np.linspace(-2.0, 2.0, 33)
+H_GOLD = 0.02 * P_GOLD ** 2 + 0.004 * P_GOLD ** 3 + 0.003 * P_GOLD ** 4
+H_GOLD[20] += 2e-4   # a concave dent for the hull to repair
+CURVE_GOLD = ham.HamiltonianCurve(p_grid=P_GOLD, values=H_GOLD, method="eigen",
+                                  errors=np.zeros_like(P_GOLD))
+# slopes of H_GOLD span about [-0.128, 0.224]: both ends extrapolate
+Q_GOLD = np.linspace(-0.2, 0.3, 201)
+X_UNEVEN = np.cumsum(0.05 + 0.04 * np.sin(np.arange(40.0)))
+F_UNEVEN = np.exp(0.5 * (X_UNEVEN - 0.8)) + 0.1 * X_UNEVEN ** 2
+
+
+def _digest(*parts) -> str:
+    h = hashlib.sha256()
+    for part in parts:
+        h.update(np.ascontiguousarray(part, dtype="<f8").tobytes())
+    return h.hexdigest()[:16]
+
+
+def _flags(flags):
+    return [f == "interior" for f in flags]
+
+
+def _conjugate_loop(x, f, q):
+    """Per-point reference: scan each q, then take the vertex of the
+    parabola through the argmax triple, clipped to the triple."""
+    out, x_star, flags = [], [], []
+    for qj in q:
+        vals = qj * x - f
+        i = int(np.argmax(vals))
+        if i == 0 or i == x.size - 1:
+            out.append(vals[i])
+            x_star.append(x[i])
+            flags.append("extrapolated")
+            continue
+        xa, xb, xc = x[i - 1:i + 2]
+        fa, fb, fc = vals[i - 1:i + 2]
+        denom = (xa - xb) * (fb - fc) - (xb - xc) * (fa - fb)
+        if abs(denom) > 0:
+            num = (xa * xa - xb * xb) * (fb - fc) - (xb * xb - xc * xc) * (fa - fb)
+            xv = min(max(0.5 * num / denom, xa), xc)
+            la = (xv - xb) * (xv - xc) / ((xa - xb) * (xa - xc))
+            lb = (xv - xa) * (xv - xc) / ((xb - xa) * (xb - xc))
+            lc = (xv - xa) * (xv - xb) / ((xc - xa) * (xc - xb))
+            out.append(la * fa + lb * fb + lc * fc)
+            x_star.append(xv)
+        else:
+            out.append(fb)
+            x_star.append(xb)
+        flags.append("interior")
+    return np.array(out), np.array(x_star), tuple(flags)
+
+
+def _conjugate(x, f, q):
+    values, x_star, flags = ham.conjugate(x, f, q)
+    return _digest(values, x_star, _flags(flags))
+
+
+def _legendre():
+    leg = ham.legendre(CURVE_GOLD, Q_GOLD)
+    return _digest(leg.q_grid, leg.values, leg.p_star, _flags(leg.flags))
+
+
+GOLDEN = {
+    "conjugate_uniform": (lambda: _conjugate(P_GOLD, H_GOLD, Q_GOLD),
+                          "657fc374270ae0c6"),
+    "conjugate_uneven": (
+        lambda: _conjugate(X_UNEVEN, F_UNEVEN, np.linspace(0.0, 1.5, 97)),
+        "d8fec6781942d9eb"),
+    "legendre": (_legendre, "30babf94052e5c4d"),
+    "biconjugate": (lambda: _digest(ham.biconjugate(CURVE_GOLD, Q_GOLD)),
+                    "ba9c207a13469a23"),
+}
+
+
+class TestTransformGoldens:
+    @pytest.mark.parametrize("name", sorted(GOLDEN))
+    def test_digest(self, name):
+        run, expected = GOLDEN[name]
+        assert run() == expected
+
+    def test_matches_per_point_reference(self):
+        rng = np.random.default_rng(7)
+        for n in (5, 60, 700):
+            x = np.sort(rng.uniform(-2.0, 2.0, n))
+            f = np.cumsum(np.cumsum(rng.uniform(0.0, 0.02, n))) - 0.3 * x
+            q = rng.uniform(-1.0, 1.0, 2 * n)
+            got = ham.conjugate(x, f, q)
+            ref = _conjugate_loop(x, f, q)
+            assert got[0].tobytes() == ref[0].tobytes()
+            assert got[1].tobytes() == ref[1].tobytes()
+            assert got[2] == ref[2]
+
+    def test_first_edge_q_is_named(self):
+        x = np.linspace(-1, 1, 101)
+        with pytest.raises(RangeError, match=r"^q = 5\.0 is outside"):
+            ham.conjugate(x, 0.5 * x ** 2, [0.0, 0.3, 5.0, -3.0, 0.1],
+                          extrapolate=False)
+
+    def test_degenerate_triple_takes_the_sample(self):
+        # the triple's differences underflow, so the parabola through it is
+        # degenerate (denom == 0): the sample itself is the sup, silently
+        x = np.linspace(-1.0, 1.0, 9)
+        f = np.array([1.0, 0.0, -5e-324, -5e-324, 1.0, 2.0, 3.0, 4.0, 5.0])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            values, x_star, flags = ham.conjugate(x, f, [0.0])
+        assert values[0] == 5e-324 and x_star[0] == x[2]
+        assert flags == ("interior",)

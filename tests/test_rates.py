@@ -1,4 +1,6 @@
+import hashlib
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -175,3 +177,108 @@ class TestAtmProbe:
                                  flags=("interior",) * q.size)
         with pytest.raises(ResolutionError):
             rates.atm_conjecture_probe(1.0, flat, target=SBAR2)
+
+
+# Rate, Hopf-Lax and smile outputs pinned bit for bit on a small asymmetric
+# curve: any change to their arithmetic or operand order changes these.
+P_GOLD = np.linspace(-2.0, 2.0, 33)
+H_GOLD = 0.02 * P_GOLD ** 2 + 0.004 * P_GOLD ** 3 + 0.003 * P_GOLD ** 4
+LEG_GOLD = ham.legendre(
+    ham.HamiltonianCurve(p_grid=P_GOLD, values=H_GOLD, method="eigen",
+                         errors=np.zeros_like(P_GOLD)),
+    np.linspace(-0.2, 0.3, 201))
+X0, T_GOLD, SBAR2_GOLD = 0.05, 0.8, 0.037
+X_GOLD = X0 + T_GOLD * np.linspace(-0.19, 0.15, 37)
+# x0 sits on the grid, so the ATM band is exercised
+LOGK_GOLD = X0 + np.linspace(-0.15, 0.15, 61)
+H_TABLE = X0 + np.linspace(-1.0, 1.0, 301)
+PAYOFF = -0.5 * (H_TABLE - X0) ** 2 + 0.1 * np.sin(3.0 * H_TABLE)
+
+
+def _digest(*parts) -> str:
+    h = hashlib.sha256()
+    for part in parts:
+        h.update(np.ascontiguousarray(part, dtype="<f8").tobytes())
+    return h.hexdigest()[:16]
+
+
+def _rate_curve(regime):
+    c = rates.rate_curve(regime, X0, T_GOLD, X_GOLD, sigma_bar_sq=SBAR2_GOLD,
+                         legendre=LEG_GOLD)
+    return _digest(c.x_grid, c.values)
+
+
+def _lax(regime):
+    x = X_GOLD[::3]
+    kw = dict(sigma_bar_sq=SBAR2_GOLD, legendre=LEG_GOLD)
+    vals = rates.lax_solution(H_TABLE, PAYOFF, T_GOLD, x, regime, **kw)
+    one = rates.lax_solution(H_TABLE, PAYOFF, T_GOLD, x[2], regime, **kw)
+    return _digest(vals, [one])
+
+
+def _smile(regime):
+    sm = rates.implied_vol_curve(X0, regime, T_GOLD, LOGK_GOLD,
+                                 sigma_bar_sq=SBAR2_GOLD, legendre=LEG_GOLD)
+    return _digest(sm.logK_grid, sm.values, [sm.atm_value])
+
+
+def _probe():
+    pr = rates.atm_conjecture_probe(T_GOLD, LEG_GOLD, target=SBAR2_GOLD)
+    return _digest(pr.z, pr.ratio, [pr.trending])
+
+
+GOLDEN = {
+    "rate_i2": (lambda: _digest(
+        rates.rate_i2(X_GOLD, X0, T_GOLD, LEG_GOLD),
+        [rates.rate_i2(X_GOLD[5], X0, T_GOLD, LEG_GOLD)]), "0bf5961b97bd8553"),
+    "rate_curve_fast": (lambda: _rate_curve(Regime.FAST), "ac99a605d5718bb0"),
+    "rate_curve_ultra_fast": (lambda: _rate_curve(Regime.ULTRA_FAST),
+                              "15bc50ef47f6f8c0"),
+    "lax_fast": (lambda: _lax(Regime.FAST), "07cac3e5c2e3a0cd"),
+    "lax_ultra_fast": (lambda: _lax(Regime.ULTRA_FAST), "4ac1dea2978c2bef"),
+    "smile_fast": (lambda: _smile(Regime.FAST), "303d2a573b7022e6"),
+    "smile_ultra_fast": (lambda: _smile(Regime.ULTRA_FAST), "840f224ba09e6cd3"),
+    "atm_probe": (_probe, "3ce93e934a3ba715"),
+}
+
+
+class TestTransformGoldens:
+    @pytest.mark.parametrize("name", sorted(GOLDEN))
+    def test_digest(self, name):
+        run, expected = GOLDEN[name]
+        assert run() == expected
+
+    @pytest.mark.parametrize("regime", [Regime.FAST, Regime.ULTRA_FAST])
+    def test_smile_matches_per_point_formula(self, regime):
+        # a fine grid, so the last-bit rounding of the square is exercised
+        logk = X0 + np.linspace(-0.15, 0.15, 4001)
+        band = float(np.min(np.diff(logk)))
+        sm = rates.implied_vol_curve(X0, regime, T_GOLD, logk,
+                                     sigma_bar_sq=SBAR2_GOLD, legendre=LEG_GOLD)
+        rate = ((lambda lk: rates.rate_i2(lk, X0, T_GOLD, LEG_GOLD))
+                if regime is Regime.FAST else
+                (lambda lk: rates.rate_i4(lk, X0, T_GOLD, SBAR2_GOLD)))
+        ref = np.array([SBAR2_GOLD if abs(lk - X0) < band
+                        else (lk - X0) ** 2 / (2.0 * rate(lk) * T_GOLD)
+                        for lk in logk])
+        assert sm.values.tobytes() == ref.tobytes()
+
+    def test_rate_i2_outside_legendre_range(self):
+        # x0 - 10 asks for q = 12.5, the first point outside [-0.2, 0.3]
+        x = np.array([X0, X0 - 10.0, X0 + 8.0])
+        with pytest.raises(RangeError, match=r"^q = 12\.5 outside"):
+            rates.rate_i2(x, X0, T_GOLD, LEG_GOLD)
+
+    def test_degenerate_triple_takes_the_sample(self):
+        # a zero cost leaves the payoff itself, whose argmax triple has
+        # differences that underflow (denom == 0)
+        zero = ham.LegendreCurve(q_grid=np.linspace(-10.0, 10.0, 5),
+                                 values=np.zeros(5), p_star=np.zeros(5),
+                                 flags=("interior",) * 5)
+        grid = np.linspace(-1.0, 1.0, 9)
+        h = np.array([-1.0, 0.0, 5e-324, 5e-324, -1.0, -2.0, -3.0, -4.0, -5.0])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            val = rates.lax_solution(grid, h, 1.0, 0.0, Regime.FAST,
+                                     legendre=zero)
+        assert val == 5e-324
