@@ -11,7 +11,7 @@ from .errors import (ATMWarning, CenteringError, ConvexityError, DomainError,
 from .model import (BoundaryClass, ModelParams, Regime, VolFnSpec,
                     boundary_classification, from_doc, sigma_eval, to_doc,
                     validate)
-from .measures import (DensityTable, GridSpec, TiltParam, dirichlet_form,
+from .measures import (DensityTable, GridSpec, dirichlet_form,
                        invariant_density, reversibility_check, scale_density,
                        sigma_bar_sq)
 from .poisson import Corrector, growth_bound_check, solve_corrector

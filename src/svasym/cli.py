@@ -13,6 +13,7 @@ import json
 import os
 import sys
 from dataclasses import dataclass, replace
+from functools import reduce
 from typing import Optional
 
 import numpy as np
@@ -21,17 +22,6 @@ from . import measures, poisson, rates, simulate, verify
 from . import hamiltonian as ham
 from .errors import ParseError, SvasymError, UnknownKeyError, ValidationError
 from .model import MODEL_KEYS, ModelParams, Regime, from_doc, to_doc, validate
-
-RUN_KEYS = {
-    "regime", "t", "eps", "tilt.p", "horizon", "x_target", "strike",
-    "eps_sequence",
-    "mc.paths", "mc.steps_per_unit_time", "mc.seed", "mc.scheme",
-    "grid.n", "grid.y_lo", "grid.y_hi",
-    "p_grid.max", "p_grid.count",
-    "x_grid.min", "x_grid.max", "x_grid.count",
-    "logK_grid.min", "logK_grid.max", "logK_grid.count",
-}
-KNOWN_KEYS = MODEL_KEYS | RUN_KEYS
 
 
 @dataclass(frozen=True)
@@ -66,20 +56,65 @@ class RunConfig:
         return np.linspace(self.logk_min, self.logk_max, self.logk_count)
 
 
-def _parse_scalar(raw: str):
-    raw = raw.strip()
+def _int(raw: str) -> int:
+    """An integer, also written as an integral float such as 1e5."""
     try:
         return int(raw)
     except ValueError:
-        pass
-    try:
-        return float(raw)
-    except ValueError:
-        return raw
+        if float(raw).is_integer():
+            return int(float(raw))
+        raise
+
+
+def _floats(raw: str) -> tuple:
+    if not raw:
+        raise ValueError("empty sequence")
+    return tuple(float(tok) for tok in raw.split())
+
+
+# Every run key: (config key, RunConfig attribute path, converter from the
+# raw value text).  Defaults come from RunConfig and its nested dataclasses.
+_RUN_KEYS = (
+    ("regime", "regime", lambda raw: Regime.from_r(_int(raw))),
+    ("t", "t", float),
+    ("eps", "eps", float),
+    ("tilt.p", "tilt_p", float),
+    ("horizon", "horizon", float),
+    ("x_target", "x_target", float),
+    ("strike", "strike", float),
+    ("eps_sequence", "eps_sequence", _floats),
+    ("mc.paths", "mc.paths", _int),
+    ("mc.steps_per_unit_time", "mc.steps_per_unit_time", _int),
+    ("mc.seed", "mc.seed", _int),
+    ("mc.scheme", "mc.scheme", str),
+    ("grid.n", "grid.n", _int),
+    ("grid.y_lo", "grid.y_lo", float),
+    ("grid.y_hi", "grid.y_hi", float),
+    ("p_grid.max", "p_grid_max", float),
+    ("p_grid.count", "p_grid_count", _int),
+    ("x_grid.min", "x_grid_min", float),
+    ("x_grid.max", "x_grid_max", float),
+    ("x_grid.count", "x_grid_count", _int),
+    ("logK_grid.min", "logk_min", float),
+    ("logK_grid.max", "logk_max", float),
+    ("logK_grid.count", "logk_count", _int),
+)
+KNOWN_KEYS = MODEL_KEYS | {key for key, _, _ in _RUN_KEYS}
+
+
+def _with(cfg, attr: str, value):
+    """cfg with the (at most one level nested) attribute replaced."""
+    head, _, field = attr.partition(".")
+    if field:
+        value = replace(getattr(cfg, head), **{field: value})
+    return replace(cfg, **{head: value})
 
 
 def load_config(path: str) -> RunConfig:
-    """Parse, default, and validate a flat key = value config document."""
+    """Parse, default, and validate a flat key = value config document.
+
+    A value that does not convert to its key's type raises ParseError with
+    its line number."""
     doc = {}
     with open(path, "r", encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
@@ -95,65 +130,34 @@ def load_config(path: str) -> RunConfig:
                 raise UnknownKeyError(key)
             if key in doc:
                 raise ParseError(f"duplicate key {key!r}", line=lineno)
-            doc[key] = _parse_scalar(raw)
+            doc[key] = (raw.strip(), lineno)
 
-    model = from_doc({k: v for k, v in doc.items() if k in MODEL_KEYS})
-    mc = simulate.McConfig(
-        paths=int(doc.get("mc.paths", 10_000)),
-        steps_per_unit_time=int(doc.get("mc.steps_per_unit_time", 100)),
-        seed=int(doc.get("mc.seed", 42)),
-        scheme=str(doc.get("mc.scheme", "full_truncation")))
-    grid = measures.GridSpec(
-        n=int(doc.get("grid.n", measures.DEFAULT_GRID_N)),
-        y_lo=doc.get("grid.y_lo"), y_hi=doc.get("grid.y_hi"))
-    eps_seq = doc.get("eps_sequence")
-    if eps_seq is not None:
-        eps_seq = tuple(float(tok) for tok in str(eps_seq).split())
-    cfg = RunConfig(model=model, mc=mc, grid=grid)
-    if eps_seq:
-        cfg = replace(cfg, eps_sequence=eps_seq)
-    simple = {
-        "regime": ("regime", lambda v: Regime.from_r(int(v))),
-        "t": ("t", float), "eps": ("eps", float),
-        "tilt.p": ("tilt_p", float), "horizon": ("horizon", float),
-        "x_target": ("x_target", float), "strike": ("strike", float),
-        "p_grid.max": ("p_grid_max", float),
-        "p_grid.count": ("p_grid_count", int),
-        "x_grid.min": ("x_grid_min", float),
-        "x_grid.max": ("x_grid_max", float),
-        "x_grid.count": ("x_grid_count", int),
-        "logK_grid.min": ("logk_min", float),
-        "logK_grid.max": ("logk_max", float),
-        "logK_grid.count": ("logk_count", int),
-    }
-    for key, (attr, conv) in simple.items():
+    def convert(key, conv):
+        raw, lineno = doc[key]
+        try:
+            return conv(raw)
+        except ValueError as exc:
+            raise ParseError(f"bad value for {key!r}: {exc}",
+                             line=lineno) from None
+
+    model = from_doc({key: convert(key, str if key == "sigma.kind" else float)
+                      for key in doc if key in MODEL_KEYS})
+    cfg = RunConfig(model=model)
+    for key, attr, conv in _RUN_KEYS:
         if key in doc:
-            cfg = replace(cfg, **{attr: conv(doc[key])})
+            cfg = _with(cfg, attr, convert(key, conv))
     return cfg
 
 
 def write_config(cfg: RunConfig, path: str) -> None:
     """Serialize a RunConfig back to the flat document form."""
     doc = to_doc(cfg.model)
-    doc.update({
-        "regime": cfg.regime.r, "t": cfg.t, "eps": cfg.eps,
-        "tilt.p": cfg.tilt_p, "horizon": cfg.horizon,
-        "x_target": cfg.x_target, "strike": cfg.strike,
-        "eps_sequence": " ".join(repr(e) for e in cfg.eps_sequence),
-        "mc.paths": cfg.mc.paths,
-        "mc.steps_per_unit_time": cfg.mc.steps_per_unit_time,
-        "mc.seed": cfg.mc.seed, "mc.scheme": cfg.mc.scheme,
-        "grid.n": cfg.grid.n,
-        "p_grid.max": cfg.p_grid_max, "p_grid.count": cfg.p_grid_count,
-        "x_grid.min": cfg.x_grid_min, "x_grid.max": cfg.x_grid_max,
-        "x_grid.count": cfg.x_grid_count,
-        "logK_grid.min": cfg.logk_min, "logK_grid.max": cfg.logk_max,
-        "logK_grid.count": cfg.logk_count,
-    })
-    if cfg.grid.y_lo is not None:
-        doc["grid.y_lo"] = cfg.grid.y_lo
-    if cfg.grid.y_hi is not None:
-        doc["grid.y_hi"] = cfg.grid.y_hi
+    for key, attr, _ in _RUN_KEYS:
+        value = reduce(getattr, attr.split("."), cfg)
+        if isinstance(value, tuple):
+            value = " ".join(map(str, value))
+        if value is not None:
+            doc[key] = value.r if isinstance(value, Regime) else value
     with open(path, "w", encoding="utf-8") as fh:
         for key in sorted(doc):
             fh.write(f"{key} = {doc[key]}\n")

@@ -34,11 +34,12 @@ from .errors import (ConvexityError, RangeError, TruncationError,
                      ValidationError, VarianceWarning)
 from .measures import (DensityTable, GridSpec, _choose_window, _make_grid,
                        density_on_grid, invariant_density)
-from .model import ModelParams, sigma_eval
+from .model import ModelParams, _write_csv, sigma_eval
 from .simulate import McConfig, McEstimate, log_mean_exp, simulate_tilted
 
 EDGE_MASS_TOL = 1e-6
 MAX_WINDOW_GROWTH = 8
+_SUP_BLOCK = 1 << 16      # objective samples per block of the sup scan
 
 
 @dataclass(frozen=True)
@@ -57,10 +58,8 @@ class HamiltonianCurve:
         return float(np.interp(p, self.p_grid, self.values))
 
     def to_csv(self, path) -> None:
-        with open(path, "w", encoding="utf-8", newline="") as fh:
-            fh.write("p,value,err\r\n")
-            for p, v, e in zip(self.p_grid, self.values, self.errors):
-                fh.write(f"{p!r},{v!r},{e!r}\r\n")
+        _write_csv(path, ("p", "value", "err"),
+                   (self.p_grid, self.values, self.errors))
 
 
 @dataclass(frozen=True)
@@ -72,17 +71,18 @@ class LegendreCurve:
     p_star: np.ndarray           # maximizing momentum per point
     flags: tuple                 # "interior" | "extrapolated"
 
-    def __call__(self, q: float) -> float:
-        if not self.q_grid[0] <= q <= self.q_grid[-1]:
-            raise RangeError(f"q = {q} outside the sampled range "
+    def __call__(self, q):
+        q = np.asarray(q, dtype=float)
+        outside = ~((self.q_grid[0] <= q) & (q <= self.q_grid[-1]))
+        if outside.any():
+            raise RangeError(f"q = {q[outside][0]} outside the sampled range "
                              f"[{self.q_grid[0]}, {self.q_grid[-1]}]")
-        return float(np.interp(q, self.q_grid, self.values))
+        out = np.interp(q, self.q_grid, self.values)
+        return float(out) if out.ndim == 0 else out
 
     def to_csv(self, path) -> None:
-        with open(path, "w", encoding="utf-8", newline="") as fh:
-            fh.write("q,value,flag\r\n")
-            for q, v, f in zip(self.q_grid, self.values, self.flags):
-                fh.write(f"{q!r},{v!r},{f}\r\n")
+        _write_csv(path, ("q", "value", "flag"),
+                   (self.q_grid, self.values, self.flags))
 
 
 @dataclass(frozen=True)
@@ -259,50 +259,63 @@ def build_curve(params: ModelParams, p_grid: Sequence[float], method: str = "eig
                             errors=errors)
 
 
+def _sup_refined(x: np.ndarray, rows, m: int):
+    """Sup over the grid x of m sampled objectives, refined by a parabola.
+
+    ``rows(s)`` returns the objectives of the points in slice ``s`` as rows
+    sampled on x, in blocks of about _SUP_BLOCK samples.  Each argmax is
+    refined to the vertex of the parabola through its triple, clipped to
+    the triple (kept if the triple is degenerate).  Returns (edge, value,
+    vertex); where edge marks an argmax on the first or last sample, value
+    and vertex are that sample's.
+    """
+    n = x.size
+    edge, value, vertex = np.empty(m, dtype=bool), np.empty(m), np.empty(m)
+    step = max(1, _SUP_BLOCK // max(n, 1))
+    for lo in range(0, m, step):
+        s = slice(lo, min(lo + step, m))
+        vals = rows(s)
+        i = np.argmax(vals, axis=1)
+        edge[s] = (i == 0) | (i == n - 1)
+        value[s] = vals[np.arange(i.size), i]
+        vertex[s] = x[i]
+        r = np.flatnonzero(~edge[s])
+        c = i[r]
+        xa, xb, xc = x[c - 1], x[c], x[c + 1]
+        fa, fb, fc = vals[r, c - 1], vals[r, c], vals[r, c + 1]
+        denom = (xa - xb) * (fb - fc) - (xb - xc) * (fa - fb)
+        num = (xa * xa - xb * xb) * (fb - fc) - (xb * xb - xc * xc) * (fa - fb)
+        fit = np.abs(denom) > 0
+        xv = np.divide(0.5 * num, denom, out=xb.copy(), where=fit)
+        xv = np.minimum(np.maximum(xv, xa), xc)
+        la = (xv - xb) * (xv - xc) / ((xa - xb) * (xa - xc))
+        lb = (xv - xa) * (xv - xc) / ((xb - xa) * (xb - xc))
+        lc = (xv - xa) * (xv - xb) / ((xc - xa) * (xc - xb))
+        value[lo + r] = np.where(fit, la * fa + lb * fb + lc * fc, fb)
+        vertex[lo + r] = np.where(fit, xv, xb)
+    return edge, value, vertex
+
+
 def conjugate(x_grid: np.ndarray, f_values: np.ndarray, q_grid: Sequence[float],
               *, extrapolate: bool = True):
     """Pointwise convex conjugate sup_x (q x - f(x)) over a sampled f.
 
-    The scan over the sample points is refined by a parabolic fit through
-    the argmax triple.  Boundary q beyond f's sampled slope range are
-    handled by the supporting line at the edge sample and flagged
-    "extrapolated" (or raise RangeError when extrapolation is disabled).
+    The sup is one vectorized scan per block of q (see _sup_refined),
+    refined by a parabolic fit through each argmax triple.  Boundary q
+    beyond f's sampled slope range are handled by the supporting line at
+    the edge sample and flagged "extrapolated" (or raise RangeError naming
+    the first such q when extrapolation is disabled).
     Returns (values, x_star, flags).
     """
     x_grid = np.asarray(x_grid, dtype=float)
     f_values = np.asarray(f_values, dtype=float)
     q_grid = np.asarray(q_grid, dtype=float)
-    out = np.empty_like(q_grid)
-    x_star = np.empty_like(q_grid)
-    flags = []
-    for j, q in enumerate(q_grid):
-        vals = q * x_grid - f_values
-        i = int(np.argmax(vals))
-        if i == 0 or i == x_grid.size - 1:
-            if not extrapolate:
-                raise RangeError(
-                    f"q = {q} is outside the sampled slope range of the curve")
-            out[j] = vals[i]
-            x_star[j] = x_grid[i]
-            flags.append("extrapolated")
-            continue
-        xa, xb, xc = x_grid[i - 1:i + 2]
-        fa, fb, fc = vals[i - 1:i + 2]
-        denom = (xa - xb) * (fb - fc) - (xb - xc) * (fa - fb)
-        if abs(denom) > 0:
-            # vertex of the parabola through the argmax triple
-            num = (xa * xa - xb * xb) * (fb - fc) - (xb * xb - xc * xc) * (fa - fb)
-            xv = 0.5 * num / denom
-            xv = min(max(xv, xa), xc)
-            la = (xv - xb) * (xv - xc) / ((xa - xb) * (xa - xc))
-            lb = (xv - xa) * (xv - xc) / ((xb - xa) * (xb - xc))
-            lc = (xv - xa) * (xv - xb) / ((xc - xa) * (xc - xb))
-            out[j] = la * fa + lb * fb + lc * fc
-            x_star[j] = xv
-        else:
-            out[j] = fb
-            x_star[j] = xb
-        flags.append("interior")
+    edge, out, x_star = _sup_refined(
+        x_grid, lambda s: q_grid[s, None] * x_grid - f_values, q_grid.size)
+    if not extrapolate and edge.any():
+        raise RangeError(f"q = {q_grid[np.argmax(edge)]} is outside the "
+                         "sampled slope range of the curve")
+    flags = np.array(("interior", "extrapolated"), dtype=object)[edge.astype(int)]
     return out, x_star, tuple(flags)
 
 

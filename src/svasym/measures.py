@@ -20,18 +20,12 @@ import numpy as np
 from scipy.integrate import quad, trapezoid
 
 from .errors import DomainError, GridMismatchError, TruncationError
-from .model import ModelParams, scale_log_integrand, sigma_eval
+from .model import ModelParams, _write_csv, scale_log_integrand, sigma_eval
 
 TAIL_REL_TOL = 1e-10      # target tail mass during window expansion
 TAIL_INVARIANT = 1e-8     # contract: tables must keep tails below this
 MAX_EXPANSIONS = 60
 DEFAULT_GRID_N = 4096
-
-
-@dataclass(frozen=True)
-class TiltParam:
-    """Momentum variable entering the tilted generator's drift."""
-    p: float = 0.0
 
 
 @dataclass(frozen=True)
@@ -63,19 +57,12 @@ class DensityTable:
         return self.quad(self.grid)
 
     def to_csv(self, path) -> None:
-        with open(path, "w", encoding="utf-8", newline="") as fh:
-            fh.write("y,density\r\n")
-            for y, v in zip(self.grid, self.values):
-                fh.write(f"{y!r},{v!r}\r\n")
-
-
-def _tilt(p) -> float:
-    return p.p if isinstance(p, TiltParam) else float(p)
+        _write_csv(path, ("y", "density"), (self.grid, self.values))
 
 
 def scale_density(params: ModelParams, p, y) -> float:
     """s_p(y), by adaptive quadrature anchored at y = 1 (so s_p(1) = 1)."""
-    pv = _tilt(p)
+    pv = float(p)
     y = float(y)
     if not bool(params.in_state_space(y)):
         raise DomainError(f"y = {y} outside the state space")
@@ -161,7 +148,7 @@ def _choose_window(params: ModelParams, pv: float):
     raise TruncationError("window expansion failed to capture the invariant mass")
 
 
-def invariant_density(params: ModelParams, p=TiltParam(0.0),
+def invariant_density(params: ModelParams, p: float = 0.0,
                       grid_spec: Optional[GridSpec] = None) -> DensityTable:
     """Invariant law of the (tilted) factor process on an auto-chosen window.
 
@@ -169,7 +156,7 @@ def invariant_density(params: ModelParams, p=TiltParam(0.0),
     speed density drops below 1e-10 of the total, then the density is
     normalized by trapezoid quadrature on the final grid.
     """
-    pv = _tilt(p)
+    pv = float(p)
     spec = grid_spec or GridSpec()
     if spec.y_lo is not None and spec.y_hi is not None:
         y_lo, y_hi = spec.y_lo, spec.y_hi
@@ -190,7 +177,7 @@ def invariant_density(params: ModelParams, p=TiltParam(0.0),
 
 def density_on_grid(params: ModelParams, p, y: np.ndarray) -> DensityTable:
     """Invariant density normalized on a caller-supplied grid."""
-    pv = _tilt(p)
+    pv = float(p)
     y = np.asarray(y, dtype=float)
     logw = _log_speed_density(params, pv, y)
     w = np.exp(logw - np.max(logw))
@@ -254,7 +241,7 @@ def apply_generator(params: ModelParams, p, table: DensityTable, h) -> np.ndarra
     """Discrete tilted generator: mu_p h' + (nu^2/2) |y|^{2 beta} h''."""
     h = _check_table(table, h)
     y = table.grid
-    pv = _tilt(p)
+    pv = float(p)
     s = sigma_eval(params.sigma, y, beta=params.beta)
     mu = (params.m - y) + params.rho * pv * s * params.nu * np.abs(y) ** params.beta
     hp = np.gradient(h, y)

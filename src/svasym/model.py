@@ -189,10 +189,6 @@ def _sigma_into(spec: VolFnSpec, y: np.ndarray, out: np.ndarray) -> np.ndarray:
     return out
 
 
-def sigma_sq(params: ModelParams, y):
-    return sigma_eval(params.sigma, y, beta=params.beta) ** 2
-
-
 def validate(params: ModelParams) -> ValidationReport:
     """Check the model against the admissibility rules, clause by clause.
 
@@ -319,6 +315,17 @@ def _log_abs_scale_integral(params: ModelParams, eps: float, n: int = 1024) -> f
 
 _SIGMA_KEYS = {"sigma.kind", "sigma.s0", "sigma.c", "sigma.q", "sigma.a", "sigma.growth"}
 MODEL_KEYS = {"m", "nu", "beta", "rho", "rate", "y0", "x0"} | _SIGMA_KEYS
+
+
+def _write_csv(path, header, columns) -> None:
+    """CSV artifact: the header line, then one row per index of the
+    columns, each line ending in CRLF.  Floats are written as the shortest
+    decimal that round-trips (repr of a Python float)."""
+    columns = [np.asarray(c).tolist() for c in columns]
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        fh.write(",".join(header) + "\r\n")
+        for row in zip(*columns):
+            fh.write(",".join(map(str, row)) + "\r\n")
 
 
 def to_doc(params: ModelParams) -> dict:

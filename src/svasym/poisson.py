@@ -27,7 +27,7 @@ import numpy as np
 from .errors import CenteringError, NotApplicableError
 from .measures import (DensityTable, GridSpec, _choose_window, density_on_grid,
                        apply_generator, sigma_bar_sq)
-from .model import ModelParams, sigma_eval
+from .model import ModelParams, _write_csv, sigma_eval
 
 CENTERING_TOL = 1e-5
 
@@ -46,10 +46,8 @@ class Corrector:
     chi_prime_right: np.ndarray
 
     def to_csv(self, path) -> None:
-        with open(path, "w", encoding="utf-8", newline="") as fh:
-            fh.write("y,chi,chi_prime\r\n")
-            for y, c, cp in zip(self.grid, self.chi, self.chi_prime):
-                fh.write(f"{y!r},{c!r},{cp!r}\r\n")
+        _write_csv(path, ("y", "chi", "chi_prime"),
+                   (self.grid, self.chi, self.chi_prime))
 
 
 @dataclass(frozen=True)

@@ -24,8 +24,8 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .errors import ATMWarning, RangeError, ResolutionError, ValidationError
-from .hamiltonian import LegendreCurve
-from .model import Regime
+from .hamiltonian import LegendreCurve, _sup_refined
+from .model import Regime, _write_csv
 
 
 @dataclass(frozen=True)
@@ -46,10 +46,8 @@ class RateCurve:
         return float(np.interp(x, self.x_grid, self.values))
 
     def to_csv(self, path) -> None:
-        with open(path, "w", encoding="utf-8", newline="") as fh:
-            fh.write("x,rate,regime\r\n")
-            for x, v in zip(self.x_grid, self.values):
-                fh.write(f"{x!r},{v!r},{self.regime.r}\r\n")
+        _write_csv(path, ("x", "rate", "regime"),
+                   (self.x_grid, self.values, [self.regime.r] * self.x_grid.size))
 
 
 @dataclass(frozen=True)
@@ -62,10 +60,9 @@ class SmileCurve:
     atm_value: float
 
     def to_csv(self, path) -> None:
-        with open(path, "w", encoding="utf-8", newline="") as fh:
-            fh.write("logK,implied_var,regime\r\n")
-            for k, v in zip(self.logK_grid, self.values):
-                fh.write(f"{k!r},{v!r},{self.regime.r}\r\n")
+        _write_csv(path, ("logK", "implied_var", "regime"),
+                   (self.logK_grid, self.values,
+                    [self.regime.r] * self.logK_grid.size))
 
 
 def rate_i4(x, x0: float, t: float, sigma_bar_sq: float):
@@ -83,10 +80,7 @@ def rate_i2(x, x0: float, t: float, legendre: LegendreCurve):
     """Fast-regime rate function t * Lbar0((x0 - x)/t)."""
     if t <= 0:
         raise ValidationError("t must be > 0")
-    scalar = np.ndim(x) == 0
-    x = np.atleast_1d(np.asarray(x, dtype=float))
-    out = np.array([t * legendre((x0 - xi) / t) for xi in x])
-    return float(out[0]) if scalar else out
+    return t * legendre((x0 - np.asarray(x, dtype=float)) / t)
 
 
 def rate_curve(regime: Regime, x0: float, t: float, x_grid: Sequence[float], *,
@@ -112,9 +106,10 @@ def lax_solution(h_grid: Sequence[float], h_values: Sequence[float], t: float,
     """Hopf-Lax value  u0(t, x) = sup_{x'} [ h(x') - t L((x - x')/t) ]
 
     with L the regime's running cost: the quadratic q^2/(2 sigma_bar^2) for
-    r = 4, Lbar0 for r = 2.  The sup over the sampled x' is refined by a
-    parabolic fit at the argmax; RangeError if the sup sits on the table
-    edge (the table window is too small for this x).
+    r = 4, Lbar0 for r = 2.  The sup over the sampled x' is one vectorized
+    scan per block of x (see hamiltonian._sup_refined), refined by a
+    parabolic fit at each argmax; RangeError naming the first x whose sup
+    sits on the table edge (the table window is too small for that x).
     """
     if t <= 0:
         raise ValidationError("t must be > 0")
@@ -132,26 +127,13 @@ def lax_solution(h_grid: Sequence[float], h_values: Sequence[float], t: float,
             raise ValidationError("the fast regime needs a Legendre curve")
         cost = lambda q: np.interp(q, legendre.q_grid, legendre.values)
 
-    out = np.empty_like(xs)
-    for j, xj in enumerate(xs):
-        vals = h_values - t * cost((xj - h_grid) / t)
-        i = int(np.argmax(vals))
-        if i == 0 or i == h_grid.size - 1:
-            raise RangeError(
-                f"Hopf-Lax sup for x = {xj} attained at the table edge; "
-                "widen the payoff table")
-        xa, xb, xc = h_grid[i - 1:i + 2]
-        fa, fb, fc = vals[i - 1:i + 2]
-        denom = (xa - xb) * (fb - fc) - (xb - xc) * (fa - fb)
-        if abs(denom) > 0:
-            num = (xa * xa - xb * xb) * (fb - fc) - (xb * xb - xc * xc) * (fa - fb)
-            xv = min(max(0.5 * num / denom, xa), xc)
-            la = (xv - xb) * (xv - xc) / ((xa - xb) * (xa - xc))
-            lb = (xv - xa) * (xv - xc) / ((xb - xa) * (xb - xc))
-            lc = (xv - xa) * (xv - xb) / ((xc - xa) * (xc - xb))
-            out[j] = la * fa + lb * fb + lc * fc
-        else:
-            out[j] = fb
+    edge, out, _ = _sup_refined(
+        h_grid, lambda s: h_values - t * cost((xs[s, None] - h_grid) / t),
+        xs.size)
+    if edge.any():
+        raise RangeError(
+            f"Hopf-Lax sup for x = {xs[np.argmax(edge)]} attained at the "
+            "table edge; widen the payoff table")
     return float(out[0]) if scalar else out
 
 
@@ -191,16 +173,23 @@ def implied_vol_curve(x0: float, regime: Regime, t: float,
     logK_grid = np.asarray(logK_grid, dtype=float)
     if atm_band is None:
         atm_band = float(np.min(np.diff(logK_grid))) if logK_grid.size > 1 else 1e-9
-    values = np.empty_like(logK_grid)
-    for j, lk in enumerate(logK_grid):
-        if abs(lk - x0) < atm_band:
-            values[j] = sigma_bar_sq
-            continue
-        if regime is Regime.ULTRA_FAST:
-            rate = rate_i4(lk, x0, t, sigma_bar_sq)
-        else:
-            rate = rate_i2(lk, x0, t, legendre)
-        values[j] = (lk - x0) ** 2 / (2.0 * rate * t)
+    values = np.full_like(logK_grid, sigma_bar_sq)
+    far = ~(np.abs(logK_grid - x0) < atm_band)
+    lk = logK_grid[far]
+    # float_power rounds like the scalar pow of a per-strike evaluation;
+    # ** 2 on an array squares, which differs in the last bit on about 0.1%
+    # of strikes, so the ultra-fast rate is formed from d2 here rather than
+    # by rate_i4 on the array
+    d2 = np.float_power(lk - x0, 2)
+    if regime is Regime.ULTRA_FAST:
+        if t <= 0:
+            raise ValidationError("t must be > 0")
+        if sigma_bar_sq <= 0:
+            raise ValidationError("sigma_bar_sq must be > 0")
+        rate = d2 / (2.0 * sigma_bar_sq * t)
+    else:
+        rate = rate_i2(lk, x0, t, legendre)
+    values[far] = d2 / (2.0 * rate * t)
     return SmileCurve(logK_grid=logK_grid, values=values, regime=regime,
                       atm_value=sigma_bar_sq)
 
@@ -229,7 +218,7 @@ def atm_conjecture_probe(t: float, legendre: LegendreCurve, *,
         q_hi = min(abs(legendre.q_grid[0]), abs(legendre.q_grid[-1]))
         z_values = 0.5 * q_hi * t * 2.0 ** -np.arange(8, dtype=float)
     z = np.asarray(z_values, dtype=float)
-    lvals = np.array([legendre(zi / t) for zi in z])
+    lvals = legendre(z / t)
     if np.any(lvals < noise_floor):
         raise ResolutionError(
             "Lbar0 near 0 is below the numerical noise floor; the probe "

@@ -29,7 +29,7 @@ import numpy as np
 from scipy.special import logsumexp
 
 from .errors import StabilityError, ValidationError, VarianceWarning
-from .model import ModelParams, Regime, _sigma_into
+from .model import ModelParams, Regime, _sigma_into, _write_csv
 
 BLOCK_PATHS = 65536
 SCHEMES = ("full_truncation", "reflect")
@@ -79,10 +79,7 @@ class PathBatch:
 
     def to_csv(self, path) -> None:
         s = self.summary()
-        keys = list(s)
-        with open(path, "w", encoding="utf-8", newline="") as fh:
-            fh.write(",".join(keys) + "\r\n")
-            fh.write(",".join(repr(s[k]) for k in keys) + "\r\n")
+        _write_csv(path, s.keys(), [[v] for v in s.values()])
 
     def to_binary(self, path) -> None:
         """Raw terminal samples as a fixed-width little-endian record file.

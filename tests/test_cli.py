@@ -1,9 +1,10 @@
 import json
 import math
 
+import numpy as np
 import pytest
 
-from svasym import cli, measures, simulate
+from svasym import cli, hamiltonian, measures, poisson, rates, simulate
 from svasym.errors import ParseError, UnknownKeyError
 from svasym.model import ModelParams, Regime, VolFnSpec
 
@@ -72,6 +73,109 @@ class TestConfigParsing:
         path = tmp_path / "round.cfg"
         cli.write_config(cfg, str(path))
         assert cli.load_config(str(path)) == cfg
+
+
+def _with_line(line):
+    """BS_CFG with one line replaced (same key) or appended; returns the
+    text and the 1-based line number of that line."""
+    key = line.split("=")[0].strip()
+    lines = BS_CFG.splitlines()
+    for i, old in enumerate(lines):
+        if old.split("=")[0].strip() == key:
+            lines[i] = line
+            return "\n".join(lines) + "\n", i + 1
+    return BS_CFG + line + "\n", len(lines) + 1
+
+
+BAD_VALUES = ["t = abc", "eps_sequence = 0.5 x", "p_grid.count = 2.5",
+              "grid.y_lo = low", "mc.paths = inf", "regime = 4.5", "m = abc"]
+
+
+class TestValueConversion:
+    @pytest.mark.parametrize("line", BAD_VALUES)
+    def test_bad_value_is_parse_error(self, line, tmp_path):
+        text, lineno = _with_line(line)
+        path = tmp_path / "bad.cfg"
+        path.write_text(text, encoding="utf-8")
+        with pytest.raises(ParseError) as exc:
+            cli.load_config(str(path))
+        assert exc.value.line == lineno
+        assert cli.dispatch(["validate", "--config", str(path),
+                             "--out", str(tmp_path)]) == 2
+
+    def test_integral_float_count(self, tmp_path):
+        text, _ = _with_line("mc.paths = 1e5")
+        path = tmp_path / "ok.cfg"
+        path.write_text(text, encoding="utf-8")
+        paths = cli.load_config(str(path)).mc.paths
+        assert paths == 100_000 and type(paths) is int
+
+
+def _loadtxt(path, **kw):
+    return np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2, **kw)
+
+
+def _same_bits(a, b):
+    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+    return a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+BS = ModelParams(m=0.0, nu=math.sqrt(2.0), beta=0.0, rho=0.0, r=0.0,
+                 sigma=VolFnSpec.constant(0.2), y0=0.0)
+OU = ModelParams(m=0.0, nu=math.sqrt(2.0), beta=0.0, rho=0.0, r=0.0,
+                 sigma=VolFnSpec.power_abs(1.0, 0.5), y0=0.0)
+
+
+class TestCsvArtifacts:
+    """Every CSV artifact reads back with loadtxt to the source arrays."""
+
+    def test_curves(self, tmp_path):
+        curve = hamiltonian.build_curve(BS, np.linspace(-1.3, 1.3, 9),
+                                        method="closed-form")
+        leg = hamiltonian.legendre(curve, np.linspace(-0.7, 0.7, 23))
+        x = np.linspace(-0.3, 0.3, 13)
+        rate = rates.rate_curve(Regime.FAST, 0.0, 0.7, x, legendre=leg)
+        smile = rates.implied_vol_curve(0.0, Regime.FAST, 0.7, x,
+                                        sigma_bar_sq=0.04, legendre=leg)
+        cases = [
+            (curve, [curve.p_grid, curve.values, curve.errors], None),
+            (leg, [leg.q_grid, leg.values], (0, 1)),
+            (rate, [rate.x_grid, rate.values, np.full(x.size, 2.0)], None),
+            (smile, [smile.logK_grid, smile.values, np.full(x.size, 2.0)],
+             None),
+        ]
+        for obj, columns, usecols in cases:
+            path = tmp_path / "a.csv"
+            obj.to_csv(path)
+            assert _same_bits(_loadtxt(path, usecols=usecols).T, columns)
+        lines = (tmp_path / "a.csv").read_bytes().split(b"\r\n")
+        assert lines[-1] == b"" and all(b"\n" not in ln for ln in lines)
+        leg.to_csv(tmp_path / "a.csv")
+        flags = np.loadtxt(tmp_path / "a.csv", delimiter=",", skiprows=1,
+                           usecols=2, dtype=str)
+        assert tuple(flags) == leg.flags
+
+    def test_density_and_corrector(self, tmp_path):
+        table = measures.invariant_density(OU, 0.0, measures.GridSpec(n=65))
+        cor = poisson.solve_corrector(OU, 1.0)
+        for obj, columns in ((table, [table.grid, table.values]),
+                             (cor, [cor.grid, cor.chi, cor.chi_prime])):
+            path = tmp_path / "a.csv"
+            obj.to_csv(path)
+            assert _same_bits(_loadtxt(path).T, columns)
+
+    def test_simulate_summary(self, tmp_path):
+        batch = simulate.simulate_xy(BS, Regime.ULTRA_FAST, 0.5, 0.1,
+                                     simulate.McConfig(paths=64, seed=3))
+        path = tmp_path / "s.csv"
+        batch.to_csv(path)
+        assert _same_bits(_loadtxt(path)[0], list(batch.summary().values()))
+
+    def test_cli_hamiltonian_artifact_is_numeric(self, cfg_path, tmp_path):
+        assert cli.dispatch(["hamiltonian", "--config", cfg_path,
+                             "--out", str(tmp_path)]) == 0
+        table = _loadtxt(tmp_path / "hamiltonian.csv")
+        assert table.shape == (33, 3) and table[16, 1] == 0.0
 
 
 class TestDispatch:
