@@ -174,8 +174,12 @@ def _emit(out_dir: str, name: str) -> str:
     return path
 
 
-def _fast_ingredients(cfg: RunConfig):
-    """Hamiltonian curve and Legendre transform for fast-regime commands."""
+def _rate_ingredient(cfg: RunConfig) -> dict:
+    """The regime's rate ingredient as keyword arguments of the rates
+    functions: sigma_bar_sq for r = 4; for r = 2 the Legendre transform of
+    the eigen Hamiltonian on the q set the x and log-strike grids ask for."""
+    if cfg.regime is Regime.ULTRA_FAST:
+        return {"sigma_bar_sq": measures.sigma_bar_sq(cfg.model)}
     curve = ham.build_curve(cfg.model, cfg.p_grid(), method="eigen")
     slopes = np.gradient(curve.values, curve.p_grid)
     q_max = float(np.max(np.abs(slopes)))
@@ -183,7 +187,7 @@ def _fast_ingredients(cfg: RunConfig):
                           (cfg.model.x0 - cfg.x_grid()) / cfg.t)
     q_needed = np.union1d(q_needed, (cfg.model.x0 - cfg.logk_grid()) / cfg.t)
     q_needed = q_needed[np.abs(q_needed) <= q_max]
-    return curve, ham.legendre(curve, q_needed)
+    return {"legendre": ham.legendre(curve, q_needed)}
 
 
 def _cmd_validate(cfg: RunConfig, out: str) -> int:
@@ -230,26 +234,15 @@ def _cmd_hamiltonian(cfg: RunConfig, out: str) -> int:
 
 
 def _cmd_rate(cfg: RunConfig, out: str) -> int:
-    if cfg.regime is Regime.ULTRA_FAST:
-        sbar2 = measures.sigma_bar_sq(cfg.model)
-        curve = rates.rate_curve(cfg.regime, cfg.model.x0, cfg.t, cfg.x_grid(),
-                                 sigma_bar_sq=sbar2)
-    else:
-        _, leg = _fast_ingredients(cfg)
-        curve = rates.rate_curve(cfg.regime, cfg.model.x0, cfg.t, cfg.x_grid(),
-                                 legendre=leg)
+    curve = rates.rate_curve(cfg.regime, cfg.model.x0, cfg.t, cfg.x_grid(),
+                             **_rate_ingredient(cfg))
     curve.to_csv(_emit(out, "rate.csv"))
     return 0
 
 
 def _cmd_price(cfg: RunConfig, out: str) -> int:
-    kwargs = {}
-    if cfg.regime is Regime.ULTRA_FAST:
-        kwargs["sigma_bar_sq"] = measures.sigma_bar_sq(cfg.model)
-    else:
-        kwargs["legendre"] = _fast_ingredients(cfg)[1]
     value = rates.option_price_log_asymptote(cfg.strike, cfg.model.x0, cfg.t,
-                                             cfg.regime, **kwargs)
+                                             cfg.regime, **_rate_ingredient(cfg))
     _write_json(_emit(out, "price.json"),
                 {"strike": cfg.strike, "regime": cfg.regime.r, "t": cfg.t,
                  "log_price_asymptote": value})
@@ -258,13 +251,11 @@ def _cmd_price(cfg: RunConfig, out: str) -> int:
 
 
 def _cmd_smile(cfg: RunConfig, out: str) -> int:
-    sbar2 = measures.sigma_bar_sq(cfg.model)
-    leg = None
-    if cfg.regime is Regime.FAST:
-        leg = _fast_ingredients(cfg)[1]
+    kwargs = _rate_ingredient(cfg)
+    if "sigma_bar_sq" not in kwargs:  # the ATM band is filled with it
+        kwargs["sigma_bar_sq"] = measures.sigma_bar_sq(cfg.model)
     smile = rates.implied_vol_curve(cfg.model.x0, cfg.regime, cfg.t,
-                                    cfg.logk_grid(), sigma_bar_sq=sbar2,
-                                    legendre=leg)
+                                    cfg.logk_grid(), **kwargs)
     smile.to_csv(_emit(out, "smile.csv"))
     return 0
 
@@ -281,13 +272,8 @@ def _cmd_simulate(cfg: RunConfig, out: str, raw: bool = False) -> int:
 
 
 def _cmd_verify_ldp(cfg: RunConfig, out: str) -> int:
-    kwargs = {}
-    if cfg.regime is Regime.ULTRA_FAST:
-        kwargs["sigma_bar_sq"] = measures.sigma_bar_sq(cfg.model)
-    else:
-        kwargs["legendre"] = _fast_ingredients(cfg)[1]
     report = verify.ldp_tail(cfg.model, cfg.regime, cfg.x_target, cfg.t,
-                             cfg.eps_sequence, cfg.mc, **kwargs)
+                             cfg.eps_sequence, cfg.mc, **_rate_ingredient(cfg))
     _write_json(_emit(out, "ldp.json"), report.to_json())
     print(f"  verdict {report.verdict}, predicted {report.predicted:.6g}")
     return 0

@@ -33,7 +33,7 @@ from scipy.linalg import eigh_tridiagonal
 from .errors import (ConvexityError, RangeError, TruncationError,
                      ValidationError, VarianceWarning)
 from .measures import (DensityTable, GridSpec, _choose_window, _make_grid,
-                       density_on_grid, invariant_density)
+                       _resolve_window, density_on_grid, invariant_density)
 from .model import ModelParams, _write_csv, sigma_eval
 from .simulate import McConfig, McEstimate, log_mean_exp, simulate_tilted
 
@@ -48,7 +48,7 @@ class HamiltonianCurve:
 
     p_grid: np.ndarray
     values: np.ndarray
-    method: str                  # "eigen" | "monte-carlo" | "closed-form"
+    method: str                  # "eigen" | "closed-form"
     errors: np.ndarray           # per-point error estimates
 
     def __call__(self, p: float) -> float:
@@ -149,10 +149,7 @@ def hbar0_eigen(params: ModelParams, p: float, *,
     """
     p = float(p)
     spec = grid_spec or GridSpec()
-    if spec.y_lo is not None and spec.y_hi is not None:
-        y_lo, y_hi = spec.y_lo, spec.y_hi
-    else:
-        y_lo, y_hi = _choose_window(params, p)
+    y_lo, y_hi = _resolve_window(spec, lambda: _choose_window(params, p))
 
     n = spec.n if spec.n % 2 == 1 else spec.n + 1
     for _ in range(MAX_WINDOW_GROWTH):
@@ -215,9 +212,13 @@ def hbar0_mc(params: ModelParams, p: float, T: float, mc: McConfig) -> HbarMcRes
     return HbarMcResult(direct=direct, martingale=martingale)
 
 
-def build_curve(params: ModelParams, p_grid: Sequence[float], method: str = "eigen",
-                *, T: float = 50.0, mc: Optional[McConfig] = None) -> HamiltonianCurve:
+def build_curve(params: ModelParams, p_grid: Sequence[float],
+                method: str = "eigen") -> HamiltonianCurve:
     """Sample Hbar0 on a symmetric momentum grid.
+
+    ``method`` is "eigen" (``hbar0_eigen``, with its error estimates) or
+    "closed-form" (constant sigma only: sigma0^2 p^2 / 2, errors 0); the
+    Monte Carlo route is ``hbar0_mc``, called per momentum.
 
     The value at p = 0 is pinned to 0 exactly (the defining normalization);
     discrete convexity violations beyond 3x the stacked error estimates
@@ -239,9 +240,6 @@ def build_curve(params: ModelParams, p_grid: Sequence[float], method: str = "eig
             continue
         if method == "eigen":
             values[i], errors[i] = hbar0_eigen(params, p)
-        elif method == "monte-carlo":
-            est = hbar0_mc(params, p, T, mc or McConfig())
-            values[i], errors[i] = est.value, est.stderr
         elif method == "closed-form":
             if params.sigma.kind != "constant":
                 raise ValidationError("closed-form curve requires constant sigma")

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Callable, Optional, Tuple
 
 import numpy as np
 from scipy.integrate import quad, trapezoid
@@ -23,7 +23,6 @@ from .errors import DomainError, GridMismatchError, TruncationError
 from .model import ModelParams, _write_csv, scale_log_integrand, sigma_eval
 
 TAIL_REL_TOL = 1e-10      # target tail mass during window expansion
-TAIL_INVARIANT = 1e-8     # contract: tables must keep tails below this
 MAX_EXPANSIONS = 60
 DEFAULT_GRID_N = 4096
 
@@ -148,6 +147,17 @@ def _choose_window(params: ModelParams, pv: float):
     raise TruncationError("window expansion failed to capture the invariant mass")
 
 
+def _resolve_window(spec: GridSpec, auto: Callable[[], Tuple[float, float]]):
+    """The window (y_lo, y_hi) of ``spec``: each bound it sets, and the
+    ``auto()`` window's bound for each it leaves unset (auto is called
+    only then)."""
+    if spec.y_lo is not None and spec.y_hi is not None:
+        return spec.y_lo, spec.y_hi
+    y_lo, y_hi = auto()
+    return (y_lo if spec.y_lo is None else spec.y_lo,
+            y_hi if spec.y_hi is None else spec.y_hi)
+
+
 def invariant_density(params: ModelParams, p: float = 0.0,
                       grid_spec: Optional[GridSpec] = None) -> DensityTable:
     """Invariant law of the (tilted) factor process on an auto-chosen window.
@@ -158,14 +168,7 @@ def invariant_density(params: ModelParams, p: float = 0.0,
     """
     pv = float(p)
     spec = grid_spec or GridSpec()
-    if spec.y_lo is not None and spec.y_hi is not None:
-        y_lo, y_hi = spec.y_lo, spec.y_hi
-    else:
-        y_lo, y_hi = _choose_window(params, pv)
-        if spec.y_lo is not None:
-            y_lo = spec.y_lo
-        if spec.y_hi is not None:
-            y_hi = spec.y_hi
+    y_lo, y_hi = _resolve_window(spec, lambda: _choose_window(params, pv))
     y = _make_grid(params, y_lo, y_hi, spec.n)
     logw = _log_speed_density(params, pv, y)
     w = np.exp(logw - np.max(logw))

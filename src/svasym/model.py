@@ -111,11 +111,6 @@ class ModelParams:
     y0: float
     x0: float = 0.0
 
-    @property
-    def e0_left(self) -> float:
-        """Left endpoint of the state space of Y (-inf for beta = 0)."""
-        return -math.inf if self.beta == 0.0 else 0.0
-
     def in_state_space(self, y) -> np.ndarray:
         y = np.asarray(y, dtype=float)
         if self.beta == 0.0:
@@ -361,6 +356,11 @@ def from_doc(doc: dict) -> ModelParams:
                                    float(doc.get("sigma.a", 0.0)))
     else:
         raise ValidationError(f"unknown sigma.kind {kind!r} in model document")
+    # the growth exponent follows from the kind; a stated one must agree
+    if "sigma.growth" in doc and float(doc["sigma.growth"]) != spec.growth_exponent:
+        raise ValidationError(
+            f"sigma.growth = {doc['sigma.growth']} disagrees with the growth "
+            f"exponent {spec.growth_exponent} that sigma.kind = {kind} implies")
     beta = float(doc["beta"])
     if beta != 0.0 and "y0" not in doc:
         raise ValidationError(

@@ -25,8 +25,8 @@ from typing import Optional
 import numpy as np
 
 from .errors import CenteringError, NotApplicableError
-from .measures import (DensityTable, GridSpec, _choose_window, density_on_grid,
-                       apply_generator, sigma_bar_sq)
+from .measures import (DensityTable, GridSpec, _choose_window, _resolve_window,
+                       density_on_grid, apply_generator, sigma_bar_sq)
 from .model import ModelParams, _write_csv, sigma_eval
 
 CENTERING_TOL = 1e-5
@@ -93,17 +93,17 @@ def solve_corrector(params: ModelParams, p: float,
 
     Gauge: chi(m) = 0 (chi is defined up to an additive constant).
     """
-    spec = grid_spec or GridSpec()
-    if spec.y_lo is not None and spec.y_hi is not None:
-        y_lo, y_hi = spec.y_lo, spec.y_hi
-    elif params.beta == 0.0:
+    def auto():
+        if params.beta != 0.0:
+            return _choose_window(params, 0.0)
         # six standard deviations of the Gaussian factor: tail mass ~1e-9,
         # far below the corrector's discretization error, while the tighter
         # spacing buys accuracy in the finite-difference residual
         sd = params.nu / math.sqrt(2.0)
-        y_lo, y_hi = params.m - 6.0 * sd, params.m + 6.0 * sd
-    else:
-        y_lo, y_hi = _choose_window(params, 0.0)
+        return params.m - 6.0 * sd, params.m + 6.0 * sd
+
+    spec = grid_spec or GridSpec()
+    y_lo, y_hi = _resolve_window(spec, auto)
     y_fine = _corrector_grid(params, y_lo, y_hi, spec.n)
     fine = density_on_grid(params, 0.0, y_fine)
     w = fine.values

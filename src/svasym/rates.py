@@ -65,14 +65,21 @@ class SmileCurve:
                     [self.regime.r] * self.logK_grid.size))
 
 
+def _check_sigma_bar_sq(sigma_bar_sq) -> None:
+    if sigma_bar_sq is None or not sigma_bar_sq > 0:
+        raise ValidationError("sigma_bar_sq must be given and > 0")
+
+
 def rate_i4(x, x0: float, t: float, sigma_bar_sq: float):
-    """Quadratic (Black-Scholes-with-averaged-variance) rate function."""
+    """Quadratic (Black-Scholes-with-averaged-variance) rate function.
+
+    The square is np.float_power's, which rounds alike for scalar and array
+    x (``**`` squares an array exactly but calls pow on a scalar)."""
     if t <= 0:
         raise ValidationError("t must be > 0")
-    if sigma_bar_sq <= 0:
-        raise ValidationError("sigma_bar_sq must be > 0")
+    _check_sigma_bar_sq(sigma_bar_sq)
     x = np.asarray(x, dtype=float)
-    out = (x0 - x) ** 2 / (2.0 * sigma_bar_sq * t)
+    out = np.float_power(x0 - x, 2) / (2.0 * sigma_bar_sq * t)
     return out if out.ndim else float(out)
 
 
@@ -80,7 +87,17 @@ def rate_i2(x, x0: float, t: float, legendre: LegendreCurve):
     """Fast-regime rate function t * Lbar0((x0 - x)/t)."""
     if t <= 0:
         raise ValidationError("t must be > 0")
+    if legendre is None:
+        raise ValidationError("the fast-regime rate needs a Legendre curve")
     return t * legendre((x0 - np.asarray(x, dtype=float)) / t)
+
+
+def _rate(regime: Regime, x, x0: float, t: float,
+          sigma_bar_sq: Optional[float], legendre: Optional[LegendreCurve]):
+    """The regime's rate function at x: I4 for r = 4, I2 for r = 2."""
+    if regime is Regime.ULTRA_FAST:
+        return rate_i4(x, x0, t, sigma_bar_sq)
+    return rate_i2(x, x0, t, legendre)
 
 
 def rate_curve(regime: Regime, x0: float, t: float, x_grid: Sequence[float], *,
@@ -88,14 +105,7 @@ def rate_curve(regime: Regime, x0: float, t: float, x_grid: Sequence[float], *,
                legendre: Optional[LegendreCurve] = None) -> RateCurve:
     """Sample the regime's rate function on an x-grid."""
     x_grid = np.asarray(x_grid, dtype=float)
-    if regime is Regime.ULTRA_FAST:
-        if sigma_bar_sq is None:
-            raise ValidationError("the ultra-fast regime needs sigma_bar_sq")
-        values = rate_i4(x_grid, x0, t, sigma_bar_sq)
-    else:
-        if legendre is None:
-            raise ValidationError("the fast regime needs a Legendre curve")
-        values = rate_i2(x_grid, x0, t, legendre)
+    values = _rate(regime, x_grid, x0, t, sigma_bar_sq, legendre)
     return RateCurve(regime=regime, x0=x0, t=t, x_grid=x_grid, values=values,
                      sigma_bar_sq=sigma_bar_sq, legendre=legendre)
 
@@ -154,9 +164,7 @@ def option_price_log_asymptote(K: float, x0: float, t: float, regime: Regime, *,
         warnings.warn("strike is at the money within grid resolution; the "
                       "price asymptote degenerates to 0", ATMWarning)
         return 0.0
-    if regime is Regime.ULTRA_FAST:
-        return -rate_i4(log_k, x0, t, sigma_bar_sq)
-    return -rate_i2(log_k, x0, t, legendre)
+    return -_rate(regime, log_k, x0, t, sigma_bar_sq, legendre)
 
 
 def implied_vol_curve(x0: float, regime: Regime, t: float,
@@ -170,26 +178,15 @@ def implied_vol_curve(x0: float, regime: Regime, t: float,
     grid resolution by default) are filled with the at-the-money limit,
     which equals the averaged variance.
     """
+    _check_sigma_bar_sq(sigma_bar_sq)
     logK_grid = np.asarray(logK_grid, dtype=float)
     if atm_band is None:
         atm_band = float(np.min(np.diff(logK_grid))) if logK_grid.size > 1 else 1e-9
     values = np.full_like(logK_grid, sigma_bar_sq)
     far = ~(np.abs(logK_grid - x0) < atm_band)
     lk = logK_grid[far]
-    # float_power rounds like the scalar pow of a per-strike evaluation;
-    # ** 2 on an array squares, which differs in the last bit on about 0.1%
-    # of strikes, so the ultra-fast rate is formed from d2 here rather than
-    # by rate_i4 on the array
-    d2 = np.float_power(lk - x0, 2)
-    if regime is Regime.ULTRA_FAST:
-        if t <= 0:
-            raise ValidationError("t must be > 0")
-        if sigma_bar_sq <= 0:
-            raise ValidationError("sigma_bar_sq must be > 0")
-        rate = d2 / (2.0 * sigma_bar_sq * t)
-    else:
-        rate = rate_i2(lk, x0, t, legendre)
-    values[far] = d2 / (2.0 * rate * t)
+    rate = _rate(regime, lk, x0, t, sigma_bar_sq, legendre)
+    values[far] = np.float_power(lk - x0, 2) / (2.0 * rate * t)
     return SmileCurve(logK_grid=logK_grid, values=values, regime=regime,
                       atm_value=sigma_bar_sq)
 

@@ -223,8 +223,6 @@ class _FactorStepper:
 
     def _advance(self, w2: np.ndarray) -> None:
         prm, y = self.params, self.y
-        if w2.max() > 10.0 or w2.min() < -10.0:
-            raise StabilityError("a factor step exceeded 10 local standard deviations")
         if prm.beta == 0.0:  # m + (y - m) a + extra (1 - a) / lam + noise W2
             extra = self._extra_drift()
             y -= prm.m

@@ -160,10 +160,7 @@ def ldp_tail(params: ModelParams, regime: Regime, x: float, t: float,
         raise ValidationError("t must be > 0")
     upper = x > params.x0
     if predicted is None:
-        if regime is Regime.ULTRA_FAST:
-            predicted = -rates.rate_i4(x, params.x0, t, sigma_bar_sq)
-        else:
-            predicted = -rates.rate_i2(x, params.x0, t, legendre)
+        predicted = -rates._rate(regime, x, params.x0, t, sigma_bar_sq, legendre)
 
     points = []
     for k, eps in enumerate(eps_sequence):
@@ -219,13 +216,12 @@ def regime_compare(x_grid: Sequence[float], x0: float, t: float, *,
                    tol: float = 1e-8) -> Tuple[RegimeRow, ...]:
     """Tabulate I2 and I4 side by side; for rho = 0 the variational lower
     bound on the Hamiltonian forces I2 <= I4, which is flagged per row."""
-    rows = []
-    for x in x_grid:
-        i4 = rates.rate_i4(x, x0, t, sigma_bar_sq)
-        i2 = rates.rate_i2(x, x0, t, legendre)
-        ok = (i2 <= i4 + tol) if rho == 0.0 else None
-        rows.append(RegimeRow(x=float(x), i2=float(i2), i4=float(i4), ok=ok))
-    return tuple(rows)
+    x = np.asarray(x_grid, dtype=float)
+    i4 = rates.rate_i4(x, x0, t, sigma_bar_sq)
+    i2 = rates.rate_i2(x, x0, t, legendre)
+    ok = (i2 <= i4 + tol).tolist() if rho == 0.0 else [None] * x.size
+    return tuple(RegimeRow(x=a, i2=b, i4=c, ok=d) for a, b, c, d
+                 in zip(x.tolist(), i2.tolist(), i4.tolist(), ok))
 
 
 # --- acceptance suite -------------------------------------------------------

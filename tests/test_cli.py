@@ -261,6 +261,14 @@ class TestDispatch:
         assert cli.dispatch(["validate", "--config", str(path),
                              "--out", str(tmp_path)]) == 1
 
+    @pytest.mark.parametrize("line", ["sigma.growth = 2", "sigma.growth = 0.5"])
+    def test_growth_disagreeing_with_kind_exit_code(self, line, tmp_path):
+        # a constant sigma implies growth 0; the key is read, not ignored
+        path = tmp_path / "bad_growth.cfg"
+        path.write_text(BS_CFG + line + "\n", encoding="utf-8")
+        assert cli.dispatch(["validate", "--config", str(path),
+                             "--out", str(tmp_path)]) == 1
+
     def test_regime_override(self, tmp_path):
         # the momentum window must be wide enough that the conjugate covers
         # the slopes (x0 - x)/t requested by the x-grid

@@ -149,6 +149,14 @@ class TestDoc:
         with pytest.raises(ValidationError):
             from_doc(doc)
 
+    def test_growth_must_match_kind(self):
+        doc = to_doc(cir_params())
+        doc["sigma.growth"] = 0.5  # power_abs with q = 0.25 implies 0.25
+        with pytest.raises(ValidationError, match="0.5.*0.25"):
+            from_doc(doc)
+        doc["sigma.growth"] = 0.25
+        assert from_doc(doc) == cir_params()
+
     def test_tabulated_has_no_doc_form(self):
         params = ou_params(sigma=VolFnSpec.tabulated([-1.0, 1.0], [0.1, 0.2], 0.0))
         with pytest.raises(ValidationError):

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -63,6 +64,18 @@ class TestSolveCorrector:
     def test_square_root_factor_residual(self):
         cor = poisson.solve_corrector(CIR, 1.0)
         assert poisson.core_residual_norm(CIR, cor) < 1e-4
+
+    def test_single_bound_moves_its_edge(self):
+        # y_lo alone replaces the auto window's left edge (6 sd below m)
+        # and keeps its right edge; the grid holds the window's cell centers
+        spec = measures.GridSpec(n=512)
+        auto = poisson.solve_corrector(OU, 1.0, spec)
+        cor = poisson.solve_corrector(OU, 1.0, replace(spec, y_lo=-5.0))
+        edges = lambda c: (c.grid[0] - 0.5 * (c.grid[1] - c.grid[0]),
+                           c.grid[-1] + 0.5 * (c.grid[-1] - c.grid[-2]))
+        assert edges(auto)[0] == pytest.approx(-6.0)
+        assert edges(cor)[0] == pytest.approx(-5.0)
+        assert edges(cor)[1] == pytest.approx(edges(auto)[1])
 
     def test_centering_guard(self):
         with pytest.raises(CenteringError):

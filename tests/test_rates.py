@@ -6,9 +6,10 @@ import numpy as np
 import pytest
 
 from svasym import hamiltonian as ham
-from svasym import rates
+from svasym import rates, verify
 from svasym.errors import ATMWarning, RangeError, ResolutionError, ValidationError
 from svasym.model import ModelParams, Regime, VolFnSpec
+from svasym.simulate import McConfig
 
 CONST = ModelParams(m=0.0, nu=math.sqrt(2.0), beta=0.0, rho=0.0, r=0.0,
                     sigma=VolFnSpec.constant(0.2), y0=0.0)
@@ -263,6 +264,15 @@ class TestTransformGoldens:
                         for lk in logk])
         assert sm.values.tobytes() == ref.tobytes()
 
+    def test_rate_i4_rounds_scalars_like_arrays(self):
+        logk = X0 + np.linspace(-0.15, 0.15, 4001)
+        arr = rates.rate_i4(logk, X0, T_GOLD, SBAR2_GOLD)
+        one = np.array([rates.rate_i4(np.array([lk]), X0, T_GOLD, SBAR2_GOLD)[0]
+                        for lk in logk])
+        scalar = np.array([rates.rate_i4(lk, X0, T_GOLD, SBAR2_GOLD)
+                           for lk in logk])
+        assert arr.tobytes() == one.tobytes() == scalar.tobytes()
+
     def test_rate_i2_outside_legendre_range(self):
         # x0 - 10 asks for q = 12.5, the first point outside [-0.2, 0.3]
         x = np.array([X0, X0 - 10.0, X0 + 8.0])
@@ -282,3 +292,34 @@ class TestTransformGoldens:
             val = rates.lax_solution(grid, h, 1.0, 0.0, Regime.FAST,
                                      legendre=zero)
         assert val == 5e-324
+
+
+# Each call lacks its regime's ingredient (or has a negative sigma_bar^2) and
+# must end in ValidationError, raised before any Monte Carlo work.
+def _ldp_tail(regime):
+    return verify.ldp_tail(CONST, regime, 0.15, 1.0, (0.5, 0.4, 0.3),
+                           McConfig(paths=10))
+
+
+BAD_INGREDIENT = {
+    "price_ultra_fast": lambda: rates.option_price_log_asymptote(
+        1.2, 0.0, 1.0, Regime.ULTRA_FAST),
+    "price_fast": lambda: rates.option_price_log_asymptote(
+        1.2, 0.0, 1.0, Regime.FAST),
+    "ldp_tail_ultra_fast": lambda: _ldp_tail(Regime.ULTRA_FAST),
+    "ldp_tail_fast": lambda: _ldp_tail(Regime.FAST),
+    "smile_fast": lambda: rates.implied_vol_curve(
+        X0, Regime.FAST, T_GOLD, LOGK_GOLD, sigma_bar_sq=SBAR2_GOLD),
+    "rate_i2": lambda: rates.rate_i2(X_GOLD, X0, T_GOLD, None),
+    "regime_compare": lambda: verify.regime_compare(
+        X_GOLD, X0, T_GOLD, sigma_bar_sq=SBAR2_GOLD, legendre=None),
+    "smile_fast_negative_sigma_bar_sq": lambda: rates.implied_vol_curve(
+        X0, Regime.FAST, T_GOLD, LOGK_GOLD, sigma_bar_sq=-1.0,
+        legendre=LEG_GOLD),
+}
+
+
+@pytest.mark.parametrize("name", sorted(BAD_INGREDIENT))
+def test_missing_or_invalid_ingredient_is_validation_error(name):
+    with pytest.raises(ValidationError):
+        BAD_INGREDIENT[name]()

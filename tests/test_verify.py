@@ -8,7 +8,7 @@ import pytest
 from scipy.stats import norm
 
 from svasym import hamiltonian as ham
-from svasym import measures, simulate, verify
+from svasym import measures, rates, simulate, verify
 from svasym.errors import SvasymError, ValidationError
 from svasym.model import Regime, validate
 
@@ -172,6 +172,24 @@ class TestRegimeCompare:
         for row in rows:
             assert row.ok
             assert row.i2 == pytest.approx(row.i4, abs=1e-6)
+
+    @pytest.mark.parametrize("rho", [0.0, -0.3])
+    def test_rows_equal_the_per_x_evaluation(self, rho):
+        p = np.linspace(-2.0, 2.0, 33)
+        curve = ham.HamiltonianCurve(
+            p_grid=p, values=0.02 * p ** 2 + 0.004 * p ** 3 + 0.003 * p ** 4,
+            method="eigen", errors=np.zeros_like(p))
+        leg = ham.legendre(curve, np.linspace(-0.2, 0.3, 201))
+        x0, t, sbar2, tol = 0.05, 0.8, 0.037, 1e-3
+        x_grid = x0 + t * np.linspace(-0.19, 0.15, 37)
+        rows = verify.regime_compare(x_grid, x0, t, sigma_bar_sq=sbar2,
+                                     legendre=leg, rho=rho, tol=tol)
+        assert len(rows) == x_grid.size
+        for x, row in zip(x_grid, rows):
+            i2 = rates.rate_i2(x, x0, t, leg)
+            i4 = rates.rate_i4(x, x0, t, sbar2)
+            assert (row.x, row.i2, row.i4) == (x, i2, i4)
+            assert row.ok == ((i2 <= i4 + tol) if rho == 0.0 else None)
 
 
 class TestRunAcceptance:
