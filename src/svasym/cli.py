@@ -180,7 +180,8 @@ def _rate_ingredient(cfg: RunConfig) -> dict:
     the eigen Hamiltonian on the q set the x and log-strike grids ask for."""
     if cfg.regime is Regime.ULTRA_FAST:
         return {"sigma_bar_sq": measures.sigma_bar_sq(cfg.model)}
-    curve = ham.build_curve(cfg.model, cfg.p_grid(), method="eigen")
+    curve = ham.build_curve(cfg.model, cfg.p_grid(), method="eigen",
+                            grid_spec=cfg.grid)
     slopes = np.gradient(curve.values, curve.p_grid)
     q_max = float(np.max(np.abs(slopes)))
     q_needed = np.union1d(np.linspace(-q_max, q_max, 801),
@@ -226,7 +227,8 @@ def _cmd_poisson(cfg: RunConfig, out: str) -> int:
 
 
 def _cmd_hamiltonian(cfg: RunConfig, out: str) -> int:
-    curve = ham.build_curve(cfg.model, cfg.p_grid(), method="eigen")
+    curve = ham.build_curve(cfg.model, cfg.p_grid(), method="eigen",
+                            grid_spec=cfg.grid)
     curve.to_csv(_emit(out, "hamiltonian.csv"))
     print(f"  {curve.p_grid.size} points on [{curve.p_grid[0]:g}, "
           f"{curve.p_grid[-1]:g}]")

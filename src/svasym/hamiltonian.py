@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Optional, Sequence, Tuple
 
 import numpy as np
@@ -35,7 +35,8 @@ from .errors import (ConvexityError, RangeError, TruncationError,
 from .measures import (DensityTable, GridSpec, _choose_window, _make_grid,
                        _resolve_window, density_on_grid, invariant_density)
 from .model import ModelParams, _write_csv, sigma_eval
-from .simulate import McConfig, McEstimate, log_mean_exp, simulate_tilted
+from .simulate import (McConfig, McEstimate, _check_mc, log_mean_exp,
+                       simulate_tilted, substream_seed)
 
 EDGE_MASS_TOL = 1e-6
 MAX_WINDOW_GROWTH = 8
@@ -182,15 +183,19 @@ def hbar0_mc(params: ModelParams, p: float, T: float, mc: McConfig) -> HbarMcRes
     Martingale form: the same expectation rewritten on the untilted process
     through the exponential martingale of the drift tilt, giving the
     functional (p^2(1-rho^2)/2) int sigma^2 ds + rho p int sigma dW2.
-    Both are returned; their agreement is a consistency check.
+    Both are returned; their agreement is a consistency check.  The direct
+    form runs on sub-stream 0 of ``mc.seed`` and the martingale form on
+    sub-stream 1.
     """
     p = float(p)
     if T * 1.0 <= 10.0:
         raise ValidationError("horizon T must exceed 10 relaxation times")
+    _check_mc(params, mc)
     burn = T / 10.0
+    mc_p, mc_0 = (replace(mc, seed=substream_seed(mc.seed, k)) for k in (0, 1))
 
     start_p = invariant_density(params, p).mode()
-    tb = simulate_tilted(params, T, mc, p=p, y_start=start_p, burn_in=burn)
+    tb = simulate_tilted(params, T, mc_p, p=p, y_start=start_p, burn_in=burn)
     s_direct = 0.5 * p * p * tb.int_sigma_sq
     lme, se = log_mean_exp(s_direct)
     if se > 0.25:
@@ -198,27 +203,26 @@ def hbar0_mc(params: ModelParams, p: float, T: float, mc: McConfig) -> HbarMcRes
                       f"(relative SE {se:.1%}); estimate may be biased low",
                       VarianceWarning)
     direct = McEstimate(value=lme / tb.duration, stderr=se / tb.duration,
-                        n=mc.paths, seed=mc.seed)
+                        n=mc.paths, seed=mc_p.seed)
 
     start_0 = invariant_density(params, 0.0).mode()
-    mc_b = McConfig(paths=mc.paths, steps_per_unit_time=mc.steps_per_unit_time,
-                    seed=mc.seed + 1, scheme=mc.scheme)
-    tb0 = simulate_tilted(params, T, mc_b, p=0.0, y_start=start_0, burn_in=burn)
+    tb0 = simulate_tilted(params, T, mc_0, p=0.0, y_start=start_0, burn_in=burn)
     s_mart = (0.5 * p * p * (1.0 - params.rho ** 2) * tb0.int_sigma_sq
               + params.rho * p * tb0.int_sigma_dw2)
     lme_m, se_m = log_mean_exp(s_mart)
     martingale = McEstimate(value=lme_m / tb0.duration, stderr=se_m / tb0.duration,
-                            n=mc.paths, seed=mc_b.seed)
+                            n=mc.paths, seed=mc_0.seed)
     return HbarMcResult(direct=direct, martingale=martingale)
 
 
 def build_curve(params: ModelParams, p_grid: Sequence[float],
-                method: str = "eigen") -> HamiltonianCurve:
+                method: str = "eigen", *,
+                grid_spec: Optional[GridSpec] = None) -> HamiltonianCurve:
     """Sample Hbar0 on a symmetric momentum grid.
 
-    ``method`` is "eigen" (``hbar0_eigen``, with its error estimates) or
-    "closed-form" (constant sigma only: sigma0^2 p^2 / 2, errors 0); the
-    Monte Carlo route is ``hbar0_mc``, called per momentum.
+    ``method`` is "eigen" (``hbar0_eigen`` on ``grid_spec``, with its error
+    estimates) or "closed-form" (constant sigma only: sigma0^2 p^2 / 2,
+    errors 0); the Monte Carlo route is ``hbar0_mc``, called per momentum.
 
     The value at p = 0 is pinned to 0 exactly (the defining normalization);
     discrete convexity violations beyond 3x the stacked error estimates
@@ -239,7 +243,7 @@ def build_curve(params: ModelParams, p_grid: Sequence[float],
             values[i] = 0.0
             continue
         if method == "eigen":
-            values[i], errors[i] = hbar0_eigen(params, p)
+            values[i], errors[i] = hbar0_eigen(params, p, grid_spec=grid_spec)
         elif method == "closed-form":
             if params.sigma.kind != "constant":
                 raise ValidationError("closed-form curve requires constant sigma")

@@ -161,6 +161,9 @@ def option_price_log_asymptote(K: float, x0: float, t: float, regime: Regime, *,
         raise ValidationError("strike must be > 0")
     log_k = math.log(K)
     if abs(log_k - x0) < atm_band:
+        # the rate at no point: checks t and the regime's ingredient as
+        # for any other strike
+        _rate(regime, (), x0, t, sigma_bar_sq, legendre)
         warnings.warn("strike is at the money within grid resolution; the "
                       "price asymptote degenerates to 0", ATMWarning)
         return 0.0

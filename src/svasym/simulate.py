@@ -9,10 +9,14 @@ with delta = eps^regime and correlated drivers <W1, W2> = rho s.  The step
 size couples to the fast scale, dt = (delta/eps) / steps_per_unit_time, so
 the factor's relaxation is resolved uniformly in eps.
 
-Randomness is counter-based: block i of paths draws from a Philox stream
-keyed by (seed, i), so results are bit-identical regardless of how blocks
-are scheduled across threads (worker count comes from SVASYM_THREADS,
-0 or unset meaning auto).
+Paths are split into ceil(paths / BLOCK_PATHS) blocks whose sizes differ by
+at most one path, and block i draws from its own SFC64 stream, seeded by
+``SeedSequence(seed, spawn_key=(i,))``.  The layout depends on the path
+count and the seed only, so results are bit-identical regardless of how
+blocks are scheduled across threads (worker count comes from
+SVASYM_THREADS, 0 or unset meaning auto).  A computation that runs several
+simulations from one seed gives simulation k the seed ``substream_seed(seed,
+k)``, never seed arithmetic.
 """
 
 from __future__ import annotations
@@ -22,7 +26,7 @@ import os
 import struct
 import warnings
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable, Optional, Sequence, Tuple
 
 import numpy as np
@@ -113,16 +117,24 @@ def _worker_count() -> int:
     return int(raw or 0) or (os.cpu_count() or 1)
 
 
+def substream_seed(seed: int, k: int) -> int:
+    """Seed of sub-stream k of ``seed``: no two (seed, k) pairs share a
+    stream (seed + k would give seed s sub-stream 1 the stream of seed s + 1
+    sub-stream 0)."""
+    return int(np.random.SeedSequence([seed, k]).generate_state(1, np.uint64)[0])
+
+
 def _block_rng(seed: int, block: int) -> np.random.Generator:
-    return np.random.Generator(np.random.Philox(key=(int(seed) << 64) + block))
+    return np.random.Generator(np.random.SFC64(
+        np.random.SeedSequence(seed, spawn_key=(block,))))
 
 
 def _map_blocks(n_paths: int, seed: int, fn: Callable[[np.random.Generator, int], tuple]):
-    """Run fn over fixed-size path blocks, merging results in block order."""
-    sizes = [BLOCK_PATHS] * (n_paths // BLOCK_PATHS)
-    if n_paths % BLOCK_PATHS:
-        sizes.append(n_paths % BLOCK_PATHS)
-    jobs = [(i, s) for i, s in enumerate(sizes)]
+    """Run fn over ceil(n_paths / BLOCK_PATHS) path blocks whose sizes differ
+    by at most one path, merging results in block order."""
+    n_blocks = -(-n_paths // BLOCK_PATHS)
+    size, extra = divmod(n_paths, n_blocks)
+    jobs = [(i, size + (i < extra)) for i in range(n_blocks)]
     workers = min(_worker_count(), len(jobs))
     if workers <= 1:
         return [fn(_block_rng(seed, i), s) for i, s in jobs]
@@ -416,13 +428,16 @@ def moment_check(params: ModelParams, regime: Regime, eps_sequence: Sequence[flo
     """Estimate eps * log E[S^p] along a decreasing eps sequence.
 
     The limit is 0; pass iff the magnitude decreases monotonically
-    (within one standard error) along the sequence.
+    (within one standard error) along the sequence.  Eps k runs on
+    sub-stream k of ``mc.seed``.
     """
     if p <= 1.0:
         raise ValidationError("moment exponent p must exceed 1")
+    _check_mc(params, mc)
     rows = []
-    for eps in eps_sequence:
-        batch = simulate_xy(params, regime, eps, t, mc)
+    for k, eps in enumerate(eps_sequence):
+        batch = simulate_xy(params, regime, eps, t,
+                            replace(mc, seed=substream_seed(mc.seed, k)))
         lme, se = log_mean_exp(p * batch.x)
         if se > 0.25:
             warnings.warn(f"heavy-tailed moment estimate at eps={eps:g} "

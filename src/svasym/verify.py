@@ -86,13 +86,6 @@ def wilson_interval(hits: int, n: int, z: float = WILSON_Z) -> Tuple[float, floa
     return max(center - half, 0.0), min(center + half, 1.0)
 
 
-def _point_seed(seed: int, k: int) -> int:
-    """Seed of eps point k: sub-stream k of ``seed``, so no two (seed, k)
-    pairs share a stream (seed + k would give seed s point 1 the stream of
-    seed s + 1 point 0)."""
-    return int(np.random.SeedSequence([seed, k]).generate_state(1, np.uint64)[0])
-
-
 def _log_tail(params: ModelParams, regime: Regime, eps: float, t: float,
               x: float, upper: bool, mc: simulate.McConfig) -> Tuple[float, float]:
     """log P(X_t > x) (X_t < x when not ``upper``) and the relative SE of P.
@@ -142,8 +135,9 @@ def ldp_tail(params: ModelParams, regime: Regime, x: float, t: float,
     Only the factor is simulated; each path contributes the exact Gaussian
     tail of ``simulate_xy``'s X given its factor path (see ``_log_tail``)
     in place of a 0/1 hit.  ``hits`` is then the effective hit count, the
-    binomial count with the same relative SE.  Each eps runs on its own
-    Philox stream, sub-stream k of ``mc.seed`` (``np.random.SeedSequence``).
+    binomial count with the same relative SE.  Eps k runs on its own
+    SFC64 block streams, from sub-stream k of ``mc.seed``
+    (``simulate.substream_seed``).
     The verdict is PASS when the estimates trend monotonically toward the
     predicted limit (Spearman sign test) and the final point lies within
     max(15% relative, its CI width) of the prediction.
@@ -164,7 +158,7 @@ def ldp_tail(params: ModelParams, regime: Regime, x: float, t: float,
 
     points = []
     for k, eps in enumerate(eps_sequence):
-        cfg = replace(mc, seed=_point_seed(mc.seed, k))
+        cfg = replace(mc, seed=simulate.substream_seed(mc.seed, k))
         log_p, rel_se = _log_tail(params, regime, eps, t, x, upper, cfg)
         p_hat = math.exp(log_p)
         if log_p == -math.inf:  # no path reaches x: 0 hits, Wilson upper bound
@@ -353,7 +347,7 @@ def _c4_hamiltonian_cross(seed: int) -> dict:
         if p == 0.0:
             continue
         mc = simulate.McConfig(paths=100_000, steps_per_unit_time=100,
-                               seed=seed + 10 * i)
+                               seed=simulate.substream_seed(seed, i))
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
             est = ham.hbar0_mc(params, p, horizons[abs(p)], mc)

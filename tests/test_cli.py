@@ -177,6 +177,22 @@ class TestCsvArtifacts:
         table = _loadtxt(tmp_path / "hamiltonian.csv")
         assert table.shape == (33, 3) and table[16, 1] == 0.0
 
+    def test_cli_hamiltonian_reads_grid_keys(self, tmp_path):
+        # grid.n reaches the eigen solver, and the default n writes the same
+        # bytes as a config without grid keys
+        ou_cfg = BS_CFG.replace("sigma.kind = constant\nsigma.s0 = 0.2\n",
+                                "sigma.kind = power_abs\nsigma.c = 1\n"
+                                "sigma.q = 0.5\np_grid.count = 5\n")
+        blobs = []
+        for i, extra in enumerate(("", "grid.n = 4096\n", "grid.n = 401\n")):
+            path = tmp_path / f"ou{i}.cfg"
+            path.write_text(ou_cfg + extra, encoding="utf-8")
+            out = tmp_path / f"out{i}"
+            assert cli.dispatch(["hamiltonian", "--config", str(path),
+                                 "--out", str(out)]) == 0
+            blobs.append((out / "hamiltonian.csv").read_bytes())
+        assert blobs[0] == blobs[1] != blobs[2]
+
 
 class TestDispatch:
     def test_validate_writes_report(self, cfg_path, tmp_path):

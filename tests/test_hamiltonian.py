@@ -73,6 +73,22 @@ class TestBuildCurve:
         with pytest.raises(ValidationError):
             ham.hbar0_mc(CONST, 1.0, 5.0, McConfig(paths=10))
 
+    def test_mc_forms_draw_derived_substreams(self, monkeypatch):
+        # with seed + 1 for the martingale form, seed s and seed s + 1
+        # shared a stream
+        seeds, real = [], ham.simulate_tilted
+
+        def spy(params, T, mc, **kw):
+            seeds[-1].add(mc.seed)
+            return real(params, T, mc, **kw)
+
+        monkeypatch.setattr(ham, "simulate_tilted", spy)
+        for seed in (5, 6):
+            seeds.append(set())
+            ham.hbar0_mc(OU, 0.5, 10.5, McConfig(paths=16, seed=seed))
+        assert len(seeds[0]) == len(seeds[1]) == 2
+        assert not seeds[0] & seeds[1]
+
     def test_csv_format(self, tmp_path):
         curve = ham.build_curve(CONST, np.linspace(-1, 1, 5), method="closed-form")
         path = tmp_path / "hamiltonian.csv"

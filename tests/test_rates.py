@@ -127,6 +127,12 @@ class TestPricesAndSmiles:
                                                    sigma_bar_sq=SBAR2)
         assert val == 0.0
 
+    def test_fast_atm_degenerates_with_warning(self, const_legendre):
+        with pytest.warns(ATMWarning):
+            val = rates.option_price_log_asymptote(1.0, 0.0, 1.0, Regime.FAST,
+                                                   legendre=const_legendre)
+        assert val == 0.0
+
     def test_strike_must_be_positive(self):
         with pytest.raises(ValidationError):
             rates.option_price_log_asymptote(0.0, 0.0, 1.0,
@@ -306,6 +312,14 @@ BAD_INGREDIENT = {
         1.2, 0.0, 1.0, Regime.ULTRA_FAST),
     "price_fast": lambda: rates.option_price_log_asymptote(
         1.2, 0.0, 1.0, Regime.FAST),
+    # at the money the asymptote is 0, but the ingredient is still checked
+    "price_atm_ultra_fast": lambda: rates.option_price_log_asymptote(
+        1.0, 0.0, 1.0, Regime.ULTRA_FAST),
+    "price_atm_ultra_fast_negative_sigma_bar_sq": lambda:
+        rates.option_price_log_asymptote(1.0, 0.0, 1.0, Regime.ULTRA_FAST,
+                                         sigma_bar_sq=-1.0),
+    "price_atm_fast": lambda: rates.option_price_log_asymptote(
+        1.0, 0.0, 1.0, Regime.FAST),
     "ldp_tail_ultra_fast": lambda: _ldp_tail(Regime.ULTRA_FAST),
     "ldp_tail_fast": lambda: _ldp_tail(Regime.FAST),
     "smile_fast": lambda: rates.implied_vol_curve(

@@ -60,6 +60,13 @@ class TestSimulateXY:
                 os.environ["SVASYM_THREADS"] = old
         assert np.array_equal(a.x, b.x) and np.array_equal(a.y, b.y)
 
+    @pytest.mark.parametrize("paths", [1, 65536, 65537, 100_000, 200_000])
+    def test_blocks_are_balanced(self, paths):
+        # 1e5 paths run as 2 x 50000, not 65536 + 34464
+        sizes = simulate._map_blocks(paths, 0, lambda rng, n: n)
+        assert len(sizes) == -(-paths // simulate.BLOCK_PATHS)
+        assert sum(sizes) == paths and max(sizes) - min(sizes) <= 1
+
     def test_positivity_of_square_root_factor(self):
         mc = simulate.McConfig(paths=2_000, steps_per_unit_time=100, seed=3)
         batch = simulate.simulate_xy(CIR, Regime.FAST, 0.25, 0.5, mc)
@@ -201,7 +208,8 @@ class TestEstimators:
 
 # Outputs pinned bit for bit: any change to the kernels' arithmetic, operand
 # order or stream layout changes these digests.  Each config spans two
-# blocks (BLOCK_PATHS + 512 paths) so the thread count has work to split.
+# blocks (BLOCK_PATHS + 512 paths, run as 2 x 33024) so the thread count has
+# work to split.
 GOLDEN_PATHS = simulate.BLOCK_PATHS + 512
 OU_RHO = ModelParams(m=0.1, nu=1.2, beta=0.0, rho=-0.5, r=0.03,
                      sigma=VolFnSpec.power_abs(1.0, 0.5), y0=0.3, x0=0.1)
