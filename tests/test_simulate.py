@@ -260,30 +260,30 @@ def _ergodic(params, phi, p, h=H_TABLE):
 
 GOLDEN = {
     "xy_ou_rho": (lambda: _xy(OU_RHO, Regime.FAST, 0.5, "full_truncation"),
-                  "fc72908f3b1903c7"),
+                  "1040c2bf400f449f"),
     "xy_cir_full_truncation": (
         lambda: _xy(CIR_TRUNC, Regime.FAST, 0.5, "full_truncation"),
-        "3f6131e9b6686bdd"),
+        "0bb34c14d22fdc74"),
     "xy_cir_reflect": (lambda: _xy(CIR_TRUNC, Regime.FAST, 0.5, "reflect"),
-                       "fe711db4deef716f"),
+                       "bdb7473710ee2837"),
     "xy_tabulated_beta": (
         lambda: _xy(TAB_BETA, Regime.ULTRA_FAST, 0.8, "full_truncation"),
-        "63649ac07565c62c"),
-    "tilted_ou": (lambda: _tilted(OU_RHO, 0.7), "22eefc6f4b711fd5"),
-    "tilted_cir": (lambda: _tilted(CIR_TRUNC, -1.0), "39a8e70983ed79d3"),
+        "a26cee8b824837e4"),
+    "tilted_ou": (lambda: _tilted(OU_RHO, 0.7), "22ded73d134963ed"),
+    "tilted_cir": (lambda: _tilted(CIR_TRUNC, -1.0), "1c9753b49a6e1255"),
     # rho = 0 with p < 0 gives a -0.0 tilt factor and no h table
     "tilted_cir_untilted": (
         lambda: _tilted(replace(CIR_TRUNC, rho=0.0), -1.0, h=None),
-        "0699a12d19315898"),
+        "5242db6a1cd17bfa"),
     "tilted_tabulated_reflect": (lambda: _tilted(TAB_BETA, 0.5, "reflect"),
-                                 "dde6d73f1a5adad6"),
+                                 "8e816aaf3467e75d"),
     "ergodic_ou": (lambda: _ergodic(OU_RHO, lambda y: np.abs(y), 0.6),
-                   "40b92a1b325e3b0a"),
+                   "41ca9ffa2cc6a4d9"),
     "ergodic_cir_untilted": (
         lambda: _ergodic(CIR_TRUNC, lambda y: y, 0.0, h=None),
-        "f5d40196252dabb6"),
+        "f732b6e976c8b5d0"),
     "ergodic_cir": (lambda: _ergodic(CIR_TRUNC, (H_GRID, H_GRID ** 2), 1.0),
-                    "6aa1a7ba2ba25bfe"),
+                    "f66c9ec8ab39a65a"),
 }
 
 
