@@ -100,6 +100,10 @@ _RUN_KEYS = (
     ("logK_grid.count", "logk_count", _int),
 )
 KNOWN_KEYS = MODEL_KEYS | {key for key, _, _ in _RUN_KEYS}
+# The override flag of each run key that has one: the flag's text converts,
+# and fails, exactly as the key's value in a config document.
+_FLAGS = {"regime": "--regime", "t": "--t", "eps": "--eps",
+          "mc.seed": "--seed", "mc.paths": "--paths", "tilt.p": "--p"}
 
 
 def _with(cfg, attr: str, value):
@@ -108,6 +112,15 @@ def _with(cfg, attr: str, value):
     if field:
         value = replace(getattr(cfg, head), **{field: value})
     return replace(cfg, **{head: value})
+
+
+def _convert(name: str, conv, raw: str, line: Optional[int] = None):
+    """conv(raw), a ValueError raised as a ParseError naming ``name`` (a
+    config key with its line, or an override flag)."""
+    try:
+        return conv(raw)
+    except ValueError as exc:
+        raise ParseError(f"bad value for {name!r}: {exc}", line=line) from None
 
 
 def load_config(path: str) -> RunConfig:
@@ -132,20 +145,13 @@ def load_config(path: str) -> RunConfig:
                 raise ParseError(f"duplicate key {key!r}", line=lineno)
             doc[key] = (raw.strip(), lineno)
 
-    def convert(key, conv):
-        raw, lineno = doc[key]
-        try:
-            return conv(raw)
-        except ValueError as exc:
-            raise ParseError(f"bad value for {key!r}: {exc}",
-                             line=lineno) from None
-
-    model = from_doc({key: convert(key, str if key == "sigma.kind" else float)
+    model = from_doc({key: _convert(key, str if key == "sigma.kind" else float,
+                                    *doc[key])
                       for key in doc if key in MODEL_KEYS})
     cfg = RunConfig(model=model)
     for key, attr, conv in _RUN_KEYS:
         if key in doc:
-            cfg = _with(cfg, attr, convert(key, conv))
+            cfg = _with(cfg, attr, _convert(key, conv, *doc[key]))
     return cfg
 
 
@@ -313,14 +319,8 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--config", required=True,
                        help="path to a flat key = value config document")
         p.add_argument("--out", default=".", help="output directory")
-        p.add_argument("--regime", type=int, choices=(2, 4),
-                       help="override the config's regime exponent")
-        p.add_argument("--t", type=float, help="override the scaled time")
-        p.add_argument("--eps", type=float, help="override eps")
-        p.add_argument("--seed", type=int, help="override the MC seed")
-        p.add_argument("--paths", type=int, help="override the MC path count")
-        p.add_argument("--p", type=float, dest="tilt_p",
-                       help="override the momentum parameter")
+        for key, flag in _FLAGS.items():
+            p.add_argument(flag, dest=key, help=f"override the config's {key}")
         if name == "simulate":
             p.add_argument("--raw", action="store_true",
                            help="also stream raw terminal samples to a "
@@ -336,18 +336,10 @@ def dispatch(argv) -> int:
         return int(exc.code or 0)
     try:
         cfg = load_config(args.config)
-        if args.regime is not None:
-            cfg = replace(cfg, regime=Regime.from_r(args.regime))
-        if args.t is not None:
-            cfg = replace(cfg, t=args.t)
-        if args.eps is not None:
-            cfg = replace(cfg, eps=args.eps)
-        if args.tilt_p is not None:
-            cfg = replace(cfg, tilt_p=args.tilt_p)
-        if args.seed is not None:
-            cfg = replace(cfg, mc=replace(cfg.mc, seed=args.seed))
-        if args.paths is not None:
-            cfg = replace(cfg, mc=replace(cfg.mc, paths=args.paths))
+        for key, attr, conv in _RUN_KEYS:
+            raw = getattr(args, key, None)  # only a flag's key is an attribute
+            if raw is not None:
+                cfg = _with(cfg, attr, _convert(_FLAGS[key], conv, raw))
         os.makedirs(args.out, exist_ok=True)
         if args.command == "simulate":
             return _COMMANDS[args.command](cfg, args.out, raw=args.raw)

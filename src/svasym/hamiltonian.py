@@ -338,16 +338,15 @@ def _convex_hull_values(x: np.ndarray, f: np.ndarray) -> np.ndarray:
     return np.interp(x, x[idx], f[idx])
 
 
-def legendre(curve: HamiltonianCurve, q_grid: Sequence[float],
-             *, extrapolate: bool = True) -> LegendreCurve:
+def legendre(curve: HamiltonianCurve, q_grid: Sequence[float]) -> LegendreCurve:
     """Legendre transform Lbar0(q) = sup_p (p q - Hbar0(p)).
 
     Tiny sampling concavities are repaired by taking the convex hull first;
-    the transform only ever sees the hull.
+    the transform only ever sees the hull.  q beyond the curve's slope range
+    are extrapolated and flagged (see ``conjugate``).
     """
     hull = _convex_hull_values(curve.p_grid, curve.values)
-    values, p_star, flags = conjugate(curve.p_grid, hull, q_grid,
-                                      extrapolate=extrapolate)
+    values, p_star, flags = conjugate(curve.p_grid, hull, q_grid)
     return LegendreCurve(q_grid=np.asarray(q_grid, dtype=float), values=values,
                          p_star=p_star, flags=flags)
 

@@ -25,6 +25,7 @@ from .model import ModelParams, _write_csv, scale_log_integrand, sigma_eval
 TAIL_REL_TOL = 1e-10      # target tail mass during window expansion
 MAX_EXPANSIONS = 60
 DEFAULT_GRID_N = 4096
+SIGMA_BAR_REL_TOL = 1e-6  # Richardson error target of sigma_bar_sq
 
 
 @dataclass(frozen=True)
@@ -166,16 +167,13 @@ def invariant_density(params: ModelParams, p: float = 0.0,
     speed density drops below 1e-10 of the total, then the density is
     normalized by trapezoid quadrature on the final grid.
     """
-    pv = float(p)
     spec = grid_spec or GridSpec()
-    y_lo, y_hi = _resolve_window(spec, lambda: _choose_window(params, pv))
-    y = _make_grid(params, y_lo, y_hi, spec.n)
-    logw = _log_speed_density(params, pv, y)
-    w = np.exp(logw - np.max(logw))
-    z = float(trapezoid(w, y))
+    y_lo, y_hi = _resolve_window(spec, lambda: _choose_window(params, float(p)))
+    table = density_on_grid(params, p, _make_grid(params, y_lo, y_hi, spec.n))
+    z = table.norm_constant
     if not math.isfinite(z) or z <= 0:
         raise TruncationError("speed density not integrable on the window")
-    return DensityTable(grid=y, values=w / z, norm_constant=z)
+    return table
 
 
 def density_on_grid(params: ModelParams, p, y: np.ndarray) -> DensityTable:
@@ -188,10 +186,14 @@ def density_on_grid(params: ModelParams, p, y: np.ndarray) -> DensityTable:
     return DensityTable(grid=y, values=w / z, norm_constant=z)
 
 
-def sigma_bar_sq(params: ModelParams, *, rel_tol: float = 1e-6,
-                 n0: int = DEFAULT_GRID_N + 1, with_error: bool = False):
+def sigma_bar_sq(params: ModelParams, *, with_error: bool = False):
     """Averaged variance int sigma^2 d(pi), refined until the Richardson
-    error estimate of the trapezoid quadrature is below ``rel_tol``."""
+    error estimate of the trapezoid quadrature is below SIGMA_BAR_REL_TOL
+    (1e-6) of the value.
+
+    The grid starts at DEFAULT_GRID_N + 1 = 4097 points on the invariant
+    law's window and is doubled (2n - 1 points) up to 8 times, else
+    TruncationError.  ``with_error`` also returns the error estimate."""
     y_lo, y_hi = _choose_window(params, 0.0)
     spec = lambda n: GridSpec(n=n, y_lo=y_lo, y_hi=y_hi)
 
@@ -199,12 +201,12 @@ def sigma_bar_sq(params: ModelParams, *, rel_tol: float = 1e-6,
         table = invariant_density(params, grid_spec=spec(n))
         return table.quad(sigma_eval(params.sigma, table.grid, beta=params.beta) ** 2)
 
-    n = n0
+    n = DEFAULT_GRID_N + 1
     prev = value((n - 1) // 2 + 1)
     for _ in range(8):
         cur = value(n)
         err = abs(cur - prev) / 3.0
-        if err < rel_tol * abs(cur):
+        if err < SIGMA_BAR_REL_TOL * abs(cur):
             richardson = cur + (cur - prev) / 3.0
             return (richardson, err) if with_error else richardson
         prev = cur

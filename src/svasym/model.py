@@ -250,12 +250,12 @@ def validate(params: ModelParams) -> ValidationReport:
     return ValidationReport(tuple(clauses))
 
 
-def _probe_grid(params: ModelParams, n: int = 10_000) -> np.ndarray:
+def _probe_grid(params: ModelParams) -> np.ndarray:
     if params.beta == 0.0:
         half = 10.0 * max(1.0, abs(params.m), params.nu)
-        return np.linspace(-half, half, n)
+        return np.linspace(-half, half, 10_000)
     hi = 20.0 * max(1.0, params.m, params.nu)
-    return np.geomspace(1e-8, hi, n)
+    return np.geomspace(1e-8, hi, 10_000)
 
 
 def scale_log_integrand(params: ModelParams, y, p: float = 0.0):
@@ -266,14 +266,14 @@ def scale_log_integrand(params: ModelParams, y, p: float = 0.0):
     return 2.0 * mu / (params.nu ** 2 * np.abs(y) ** (2.0 * params.beta))
 
 
-def boundary_classification(params: ModelParams, *, max_k: int = 40,
-                            log_threshold: float = math.log(1e6)) -> BoundaryClass:
+def boundary_classification(params: ModelParams) -> BoundaryClass:
     """Classify the left boundary of (0, inf) for beta in [1/2, 1).
 
-    Evaluates S(eps) = int_eps^1 s(y) dy on eps = 2^-k and declares the
-    boundary inaccessible once -S(eps) exceeds 1e6 with monotone growth over
-    the last five samples.  All work is done in log space because s blows up
-    double-exponentially near 0 for admissible parameters.
+    Evaluates S(eps) = int_eps^1 s(y) dy on eps = 2^-k, k = 1, ..., 40, and
+    declares the boundary inaccessible once S(eps) exceeds 1e6 with
+    monotone growth over the last five samples, else accessible.  All work
+    is done in log space because s blows up double-exponentially near 0 for
+    admissible parameters.
     """
     if params.beta == 0.0:
         raise NotApplicableError("beta = 0: the state space is the whole line")
@@ -281,20 +281,21 @@ def boundary_classification(params: ModelParams, *, max_k: int = 40,
         raise ValidationError(f"beta = {params.beta} outside [1/2, 1)")
 
     log_s_vals = []
-    for k in range(1, max_k + 1):
+    for k in range(1, 41):
         eps = 2.0 ** (-k)
         log_s_vals.append(_log_abs_scale_integral(params, eps))
         if len(log_s_vals) >= 5:
             tail = log_s_vals[-5:]
             monotone = all(b > a for a, b in zip(tail, tail[1:]))
-            if monotone and tail[-1] > log_threshold:
+            if monotone and tail[-1] > math.log(1e6):
                 return BoundaryClass.INACCESSIBLE
     return BoundaryClass.ACCESSIBLE
 
 
-def _log_abs_scale_integral(params: ModelParams, eps: float, n: int = 1024) -> float:
-    """log of int_eps^1 s(y) dy, computed stably in log space."""
-    y = np.geomspace(eps, 1.0, n)
+def _log_abs_scale_integral(params: ModelParams, eps: float) -> float:
+    """log of int_eps^1 s(y) dy on 1024 log-spaced points, computed stably
+    in log space."""
+    y = np.geomspace(eps, 1.0, 1024)
     # cumulative trapezoid of the log-scale integrand, anchored at y = 1
     g = scale_log_integrand(params, y)
     seg = 0.5 * (g[1:] + g[:-1]) * np.diff(y)

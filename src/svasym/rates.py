@@ -27,6 +27,8 @@ from .errors import ATMWarning, RangeError, ResolutionError, ValidationError
 from .hamiltonian import LegendreCurve, _sup_refined
 from .model import Regime, _write_csv
 
+ATM_BAND = 1e-9  # |log K - x0| below which a strike is at the money
+
 
 @dataclass(frozen=True)
 class RateCurve:
@@ -149,18 +151,18 @@ def lax_solution(h_grid: Sequence[float], h_values: Sequence[float], t: float,
 
 def option_price_log_asymptote(K: float, x0: float, t: float, regime: Regime, *,
                                sigma_bar_sq: Optional[float] = None,
-                               legendre: Optional[LegendreCurve] = None,
-                               atm_band: float = 1e-9) -> float:
+                               legendre: Optional[LegendreCurve] = None) -> float:
     """Exponential decay rate of the option price:  -I_r(log K; x0, t).
 
     Calls are the out-of-the-money case log K > x0; strikes below spot use
-    the put side, governed by the same rate function.  Near-the-money
-    strikes trigger ATMWarning because the asymptote degenerates to 0.
+    the put side, governed by the same rate function.  Strikes within
+    ATM_BAND of the money trigger ATMWarning because the asymptote
+    degenerates to 0.
     """
     if K <= 0:
         raise ValidationError("strike must be > 0")
     log_k = math.log(K)
-    if abs(log_k - x0) < atm_band:
+    if abs(log_k - x0) < ATM_BAND:
         # the rate at no point: checks t and the regime's ingredient as
         # for any other strike
         _rate(regime, (), x0, t, sigma_bar_sq, legendre)
@@ -173,18 +175,16 @@ def option_price_log_asymptote(K: float, x0: float, t: float, regime: Regime, *,
 def implied_vol_curve(x0: float, regime: Regime, t: float,
                       logK_grid: Sequence[float], *,
                       sigma_bar_sq: float,
-                      legendre: Optional[LegendreCurve] = None,
-                      atm_band: Optional[float] = None) -> SmileCurve:
+                      legendre: Optional[LegendreCurve] = None) -> SmileCurve:
     """Asymptotic implied-variance smile  (log K - x0)^2 / (2 I_r t).
 
     The formula is 0/0 at the money; strikes inside the exclusion band (one
-    grid resolution by default) are filled with the at-the-money limit,
-    which equals the averaged variance.
+    grid resolution, ATM_BAND for a single strike) are filled with the
+    at-the-money limit, which equals the averaged variance.
     """
     _check_sigma_bar_sq(sigma_bar_sq)
     logK_grid = np.asarray(logK_grid, dtype=float)
-    if atm_band is None:
-        atm_band = float(np.min(np.diff(logK_grid))) if logK_grid.size > 1 else 1e-9
+    atm_band = float(np.min(np.diff(logK_grid))) if logK_grid.size > 1 else ATM_BAND
     values = np.full_like(logK_grid, sigma_bar_sq)
     far = ~(np.abs(logK_grid - x0) < atm_band)
     lk = logK_grid[far]
@@ -205,21 +205,19 @@ class AtmProbe:
 
 
 def atm_conjecture_probe(t: float, legendre: LegendreCurve, *,
-                         target: Optional[float] = None,
-                         z_values: Optional[Sequence[float]] = None,
-                         noise_floor: float = 1e-12) -> AtmProbe:
+                         target: Optional[float] = None) -> AtmProbe:
     """Probe the conjectured at-the-money limit of the fast-regime smile.
 
-    Reports z -> z^2 / (2 t^2 Lbar0(z/t)) on a shrinking sequence z -> 0 and
-    whether the sequence trends toward ``target`` (the averaged variance).
-    This is labeled a conjecture probe: the trend is recorded, not asserted.
+    Reports z -> z^2 / (2 t^2 Lbar0(z/t)) on the shrinking sequence
+    z = q t 2^-k, k = 1, ..., 8, with q the smaller edge of the Legendre
+    curve's range, and whether it trends toward ``target`` (the averaged
+    variance); ResolutionError if Lbar0 falls below 1e-12 there.  This is
+    labeled a conjecture probe: the trend is recorded, not asserted.
     """
-    if z_values is None:
-        q_hi = min(abs(legendre.q_grid[0]), abs(legendre.q_grid[-1]))
-        z_values = 0.5 * q_hi * t * 2.0 ** -np.arange(8, dtype=float)
-    z = np.asarray(z_values, dtype=float)
+    q_hi = min(abs(legendre.q_grid[0]), abs(legendre.q_grid[-1]))
+    z = 0.5 * q_hi * t * 2.0 ** -np.arange(8, dtype=float)
     lvals = legendre(z / t)
-    if np.any(lvals < noise_floor):
+    if np.any(lvals < 1e-12):
         raise ResolutionError(
             "Lbar0 near 0 is below the numerical noise floor; the probe "
             "ratio would be dominated by rounding")

@@ -348,25 +348,25 @@ def simulate_tilted(params: ModelParams, T: float, mc: McConfig, *,
 
 
 def ergodic_average(params: ModelParams, phi, T: float, mc: McConfig, *,
-                    p: float = 0.0, h=None, y_start: Optional[float] = None,
-                    burn_in: Optional[float] = None, n_batches: int = 8) -> McEstimate:
-    """Long-run time average (1/T) int phi(Y_s) ds across paths.
+                    p: float = 0.0, h=None) -> McEstimate:
+    """Long-run time average of phi(Y_s) across paths.
 
-    ``phi`` is a callable on arrays or a (grid, values) table.  The standard
-    error is taken across independent paths; a VarianceWarning is issued
-    when consecutive within-path time batches remain correlated (batch
-    length shorter than the mixing time).  A non-finite state or batch sum
-    raises StabilityError.
+    Each path starts at ``params.y0``, discards a burn-in of T/10 and
+    averages over the rest of [0, T].  ``phi`` is a callable on arrays or a
+    (grid, values) table.  The standard error is taken across independent
+    paths; a VarianceWarning is issued when consecutive ones of its 8
+    within-path time batches remain correlated (batch length shorter than
+    the mixing time).  A non-finite state or batch sum raises
+    StabilityError.
     """
     _check_mc(params, mc)
-    if burn_in is None:
-        burn_in = T / 10.0
+    n_batches = 8
     if callable(phi):
         phi_fn = phi
     else:
         g, v = np.asarray(phi[0], dtype=float), np.asarray(phi[1], dtype=float)
         phi_fn = lambda yy: np.interp(yy, g, v)
-    n_steps, dt, burn_steps, stepper = _tilted_loop(params, T, mc, p, h, y_start, burn_in)
+    n_steps, dt, burn_steps, stepper = _tilted_loop(params, T, mc, p, h, None, T / 10.0)
     acc_steps = n_steps - burn_steps
 
     def run(rng: np.random.Generator, n: int):

@@ -75,10 +75,12 @@ class LdpReport:
         }
 
 
-def wilson_interval(hits: int, n: int, z: float = WILSON_Z) -> Tuple[float, float]:
-    """Wilson score interval for a binomial proportion."""
+def wilson_interval(hits: int, n: int) -> Tuple[float, float]:
+    """Wilson score interval (two-sided 95%, z = WILSON_Z) for a binomial
+    proportion."""
     if n <= 0:
         return 0.0, 1.0
+    z = WILSON_Z
     p = hits / n
     denom = 1.0 + z * z / n
     center = (p + z * z / (2 * n)) / denom
@@ -241,32 +243,28 @@ def fixture_cir() -> ModelParams:
 FIXTURES = {"bs": fixture_bs, "ou": fixture_ou, "cir": fixture_cir}
 
 
-def _entry(cid: str, desc: str, measured, expected, tol, ok: bool,
-           runtime: float, seed: int) -> dict:
-    return {"criterion_id": cid, "description": desc, "measured": measured,
-            "expected": expected, "tolerance": tol, "pass": bool(ok),
-            "runtime_s": round(runtime, 3), "seed": seed}
+def _entry(desc: str, measured, expected, tol, ok: bool) -> dict:
+    """A criterion's verdict; run_acceptance adds its id, seed and runtime."""
+    return {"description": desc, "measured": measured, "expected": expected,
+            "tolerance": tol, "pass": bool(ok)}
 
 
-def _ou_eigen_curve(n_points: int = 65, p_max: float = 2.0):
+def _ou_eigen_curve(n_points: int):
     params = fixture_ou()
-    grid = np.linspace(-p_max, p_max, n_points)
+    grid = np.linspace(-2.0, 2.0, n_points)
     return params, ham.build_curve(params, grid, method="eigen")
 
 
-def _c0_validation(seed: int, model: Optional[ModelParams]) -> dict:
-    t0 = time.perf_counter()
+def _c0_validation(model: Optional[ModelParams]) -> dict:
     targets = {name: f() for name, f in FIXTURES.items()}
     if model is not None:
         targets["config"] = model
     failed = [name for name, prm in targets.items() if not validate(prm).passed]
-    return _entry("C0", "fixture models pass the admissibility rules",
-                  {"failed": failed}, {"failed": []}, None, not failed,
-                  time.perf_counter() - t0, seed)
+    return _entry("fixture models pass the admissibility rules",
+                  {"failed": failed}, {"failed": []}, None, not failed)
 
 
 def _c1_bs_collapse(seed: int) -> dict:
-    t0 = time.perf_counter()
     params = fixture_bs()
     t = 1.0
     sbar2 = measures.sigma_bar_sq(params)
@@ -287,14 +285,12 @@ def _c1_bs_collapse(seed: int) -> dict:
                                         sigma_bar_sq=sbar2, legendre=leg_s)
         dev_sm = max(dev_sm, float(np.max(np.abs(smile.values / 0.04 - 1.0))))
     measured = max(rate_dev, dev_sm)
-    return _entry("C1", "constant sigma: both regimes collapse to the "
+    return _entry("constant sigma: both regimes collapse to the "
                   "Black-Scholes rate function and a flat smile",
-                  measured, 0.0, 1e-6, measured < 1e-6,
-                  time.perf_counter() - t0, seed)
+                  measured, 0.0, 1e-6, measured < 1e-6)
 
 
 def _c2_invariant_laws(seed: int) -> dict:
-    t0 = time.perf_counter()
     ou = fixture_ou()
     tab = measures.invariant_density(ou)
     dev_ou = float(np.max(np.abs(tab.values - norm.pdf(tab.grid))))
@@ -305,15 +301,13 @@ def _c2_invariant_laws(seed: int) -> dict:
     dev_cir = float(np.max(np.abs(
         tab_c.values - gamma_dist.pdf(tab_c.grid, a=2.0, scale=0.5))))
     ok = dev_ou < 1e-8 and dev_cir < 1e-6
-    return _entry("C2", "invariant laws match the standard normal and "
+    return _entry("invariant laws match the standard normal and "
                   "Gamma(2, 1/2) closed forms pointwise",
                   {"ou": dev_ou, "cir": dev_cir},
-                  {"ou": 0.0, "cir": 0.0}, {"ou": 1e-8, "cir": 1e-6}, ok,
-                  time.perf_counter() - t0, seed)
+                  {"ou": 0.0, "cir": 0.0}, {"ou": 1e-8, "cir": 1e-6}, ok)
 
 
 def _c3_sigma_bar_three_ways(seed: int) -> dict:
-    t0 = time.perf_counter()
     params = fixture_ou()
     closed = math.sqrt(2.0 / math.pi)
     quad_val = measures.sigma_bar_sq(params)
@@ -326,17 +320,15 @@ def _c3_sigma_bar_three_ways(seed: int) -> dict:
     mc_dev = abs(est.value - closed)
     rel_se = est.stderr / est.value
     ok = quad_dev < 1e-6 and mc_dev <= 3.0 * est.stderr and rel_se < 0.01
-    return _entry("C3", "averaged variance by quadrature, ergodic Monte "
+    return _entry("averaged variance by quadrature, ergodic Monte "
                   "Carlo, and the sqrt(2/pi) closed form agree",
                   {"quad_dev": quad_dev, "mc_dev": mc_dev,
                    "mc_se": est.stderr},
                   {"closed_form": closed},
-                  {"quad": 1e-6, "mc": "3 SE", "rel_se": 0.01}, ok,
-                  time.perf_counter() - t0, seed)
+                  {"quad": 1e-6, "mc": "3 SE", "rel_se": 0.01}, ok)
 
 
 def _c4_hamiltonian_cross(seed: int) -> dict:
-    t0 = time.perf_counter()
     params = fixture_ou()
     p_grid = np.array([-2.0, -1.0, -0.5, 0.0, 0.5, 1.0, 2.0])
     curve = ham.build_curve(params, p_grid, method="eigen")
@@ -359,26 +351,22 @@ def _c4_hamiltonian_cross(seed: int) -> dict:
     dd = np.diff(curve.values) / d
     convexity = float(np.min(np.diff(dd)))
     ok = ok and curve.values[p_grid == 0.0][0] == 0.0 and convexity > -1e-8
-    return _entry("C4", "eigenvalue and Monte Carlo Hamiltonians agree at "
+    return _entry("eigenvalue and Monte Carlo Hamiltonians agree at "
                   "p in {0.5, 1, 2} and the curve is convex with H(0) = 0",
                   {"gaps": gaps, "min_divided_d2": convexity},
-                  "eigen == mc", "2 SE + 0.02", ok,
-                  time.perf_counter() - t0, seed)
+                  "eigen == mc", "2 SE + 0.02", ok)
 
 
 def _c5_variational_bound(seed: int) -> dict:
-    t0 = time.perf_counter()
     params, curve = _ou_eigen_curve(33)
     sbar2 = measures.sigma_bar_sq(params)
     slack = float(np.min(curve.values - 0.5 * sbar2 * curve.p_grid ** 2))
-    return _entry("C5", "Hamiltonian dominates the averaged-variance "
+    return _entry("Hamiltonian dominates the averaged-variance "
                   "parabola (constant test function in the variational form)",
-                  slack, ">= 0", -1e-8, slack >= -1e-8,
-                  time.perf_counter() - t0, seed)
+                  slack, ">= 0", -1e-8, slack >= -1e-8)
 
 
 def _c6_legendre_duality(seed: int) -> dict:
-    t0 = time.perf_counter()
     params, coarse = _ou_eigen_curve(65)
     spline = CubicSpline(coarse.p_grid, coarse.values)
     p_dense = np.linspace(coarse.p_grid[0], coarse.p_grid[-1], 4001)
@@ -404,17 +392,15 @@ def _c6_legendre_duality(seed: int) -> dict:
         eq_dev = max(eq_dev, abs(leg.values[j] + h_at_star
                                  - leg.p_star[j] * q))
     ok = bidual_dev < 1e-6 and fy_min > -1e-9 and eq_dev < 1e-5
-    return _entry("C6", "biconjugation reproduces the Hamiltonian hull; "
+    return _entry("biconjugation reproduces the Hamiltonian hull; "
                   "Fenchel-Young holds with equality at matched pairs",
                   {"bidual_dev": bidual_dev, "fenchel_young_min": fy_min,
                    "matched_eq_dev": eq_dev},
                   {"bidual": 0.0, "fy": ">= 0", "eq": 0.0},
-                  {"bidual": 1e-6, "fy": 1e-9, "eq": 1e-5}, ok,
-                  time.perf_counter() - t0, seed)
+                  {"bidual": 1e-6, "fy": 1e-9, "eq": 1e-5}, ok)
 
 
 def _c7_poisson_corrector(seed: int) -> dict:
-    t0 = time.perf_counter()
     params = fixture_ou()
     cor1 = poisson.solve_corrector(params, 1.0, measures.GridSpec(n=4096))
     res1 = poisson.core_residual_norm(params, cor1)
@@ -426,66 +412,58 @@ def _c7_poisson_corrector(seed: int) -> dict:
                                             cor_2p.chi_prime))
     growth = poisson.growth_bound_check(cor1, params)
     ok = res1 < 1e-4 and res2 <= 0.66 * res1 and scaling_exact and growth.passed
-    return _entry("C7", "corrector residual is small and halves under "
+    return _entry("corrector residual is small and halves under "
                   "refinement; p-scaling is exactly 1:4; derivative growth "
                   "bound holds",
                   {"residual_4096": res1, "residual_8192": res2,
                    "scaling_exact": scaling_exact,
                    "growth_passed": growth.passed},
-                  {"residual": 0.0}, {"residual": 1e-4, "halving": 0.66}, ok,
-                  time.perf_counter() - t0, seed)
+                  {"residual": 0.0}, {"residual": 1e-4, "halving": 0.66}, ok)
 
 
 def _c8_ldp_trend(seed: int) -> dict:
-    t0 = time.perf_counter()
     params = fixture_ou()
     sbar2 = measures.sigma_bar_sq(params)
     mc = simulate.McConfig(paths=1_000_000, steps_per_unit_time=50, seed=seed)
     report = ldp_tail(params, Regime.ULTRA_FAST, 0.15, 1.0,
                       (0.5, 0.35, 0.25, 0.18), mc, sigma_bar_sq=sbar2)
     last = report.points[-1]
-    return _entry("C8", "tail estimates trend toward the quadratic rate and "
+    return _entry("tail estimates trend toward the quadratic rate and "
                   "the final eps point meets the 15%/CI tolerance",
                   {"estimates": [q.estimate for q in report.points],
                    "final": last.estimate, "spearman": report.spearman,
                    "trend_ok": report.trend_ok, "final_ok": report.final_ok},
                   report.predicted, "max(15% rel, CI width)",
-                  report.verdict == "PASS",
-                  time.perf_counter() - t0, seed)
+                  report.verdict == "PASS")
 
 
 def _c9_positivity(seed: int) -> dict:
-    t0 = time.perf_counter()
     params = fixture_cir()
     mc = simulate.McConfig(paths=100_000, steps_per_unit_time=100, seed=seed)
     batch = simulate.simulate_xy(params, Regime.FAST, 0.25, 1.0, mc)
     n_neg = int(np.count_nonzero(batch.y < 0.0))
     frac = batch.truncated_fraction
     ok = n_neg == 0 and frac < 0.01
-    return _entry("C9", "square-root-factor paths stay nonnegative with "
+    return _entry("square-root-factor paths stay nonnegative with "
                   "under 1% truncated steps",
                   {"negative_samples": n_neg, "truncated_fraction": frac},
-                  {"negative_samples": 0}, {"truncated_fraction": 0.01}, ok,
-                  time.perf_counter() - t0, seed)
+                  {"negative_samples": 0}, {"truncated_fraction": 0.01}, ok)
 
 
 def _c10_regime4_smile(seed: int) -> dict:
-    t0 = time.perf_counter()
     params = fixture_ou()
     sbar2 = measures.sigma_bar_sq(params)
     logk = np.linspace(-0.5, 0.5, 201)
     smile = rates.implied_vol_curve(params.x0, Regime.ULTRA_FAST, 1.0, logk,
                                     sigma_bar_sq=sbar2)
     dev = float(np.max(np.abs(smile.values / sbar2 - 1.0)))
-    return _entry("C10", "ultra-fast smile is identically the averaged "
+    return _entry("ultra-fast smile is identically the averaged "
                   "variance by algebraic cancellation",
-                  dev, 0.0, 1e-10, dev < 1e-10,
-                  time.perf_counter() - t0, seed)
+                  dev, 0.0, 1e-10, dev < 1e-10)
 
 
 def _c11_determinism(seed: int) -> dict:
     from . import cli  # deferred: cli imports this module for `accept`
-    t0 = time.perf_counter()
     blobs = []
     with tempfile.TemporaryDirectory() as tmp:
         cfg_path = os.path.join(tmp, "fixture.cfg")
@@ -511,15 +489,13 @@ def _c11_determinism(seed: int) -> dict:
             else:
                 os.environ["SVASYM_THREADS"] = old
     ok = (blobs[0][0] == blobs[1][0] == 0) and blobs[0][1] == blobs[1][1]
-    return _entry("C11", "identical seed with different SVASYM_THREADS "
+    return _entry("identical seed with different SVASYM_THREADS "
                   "yields byte-identical summary artifacts",
                   {"identical": blobs[0][1] == blobs[1][1]},
-                  {"identical": True}, None, ok,
-                  time.perf_counter() - t0, seed)
+                  {"identical": True}, None, ok)
 
 
 def _c12_moment_sanity(seed: int) -> dict:
-    t0 = time.perf_counter()
     params = fixture_bs()
     eps_seq = (0.5, 0.25, 0.125)
     mc = simulate.McConfig(paths=100_000, steps_per_unit_time=50, seed=seed)
@@ -536,10 +512,9 @@ def _c12_moment_sanity(seed: int) -> dict:
                      "se": row.stderr})
         closed_ok = closed_ok and abs(row.value - closed) <= 3.0 * row.stderr
     ok = table.passed and closed_ok
-    return _entry("C12", "eps log E[S^2] decreases toward 0 and matches the "
+    return _entry("eps log E[S^2] decreases toward 0 and matches the "
                   "lognormal closed form within Monte Carlo error",
-                  rows, "lognormal closed form", "3 SE", ok,
-                  time.perf_counter() - t0, seed)
+                  rows, "lognormal closed form", "3 SE", ok)
 
 
 CRITERIA = {
@@ -564,15 +539,19 @@ def run_acceptance(config: Optional[dict] = None) -> dict:
     seed = int(config.get("seed", 42))
     wanted = config.get("criteria")
     model = config.get("model")
-    entries = [_c0_validation(seed, model)]
-    for cid, fn in CRITERIA.items():
-        if wanted is not None and cid not in wanted:
-            continue
+    run = [("C0", lambda _: _c0_validation(model))]
+    run += [(cid, fn) for cid, fn in CRITERIA.items()
+            if wanted is None or cid in wanted]
+    entries = []
+    for cid, fn in run:
+        t0 = time.perf_counter()
         try:
-            entries.append(fn(seed))
+            entry = fn(seed)
         except Exception as exc:  # a crash is a failure, not an abort
-            entries.append(_entry(cid, f"criterion crashed: {exc}", None,
-                                  None, None, False, 0.0, seed))
+            entry = _entry(f"criterion crashed: {exc}", None, None, None, False)
+        entries.append({"criterion_id": cid, **entry,
+                        "runtime_s": round(time.perf_counter() - t0, 3),
+                        "seed": seed})
     report = {"seed": seed, "criteria": entries,
               "passed": all(e["pass"] for e in entries)}
     out = config.get("out")

@@ -5,9 +5,10 @@ Two sub-checks are structurally out of reach of the prescribed plain Monte
 Carlo estimators and are reported as expected failures rather than silently
 weakened (the analysis lives alongside the numbers in the report entries):
 
-* C4 at |p| = 2: the finite-horizon growth rate approaches its limit like
-  c/T with c ~ 5, so meeting the 0.02 tolerance needs horizons where the
-  exponent variance makes the plain estimator astronomically undersampled.
+* C4 at |p| = 2: the plain estimator's exponential weights are ruled by a
+  few rare paths (an effective sample size of about 2 in 100 000), so its
+  gap does not shrink with the horizon (about -1.21 at T = 15, -1.62 at
+  T = 50) and no pinned horizon/path budget reaches the 0.02 tolerance.
 * C8 final point: at the smallest eps in the budgeted sequence the
   pre-asymptotic prefactor still dominates the tail estimate; the trend
   check passes, the final-point check cannot at any feasible path count.
@@ -16,7 +17,6 @@ Everything else must pass outright.
 """
 
 import json
-import sys
 
 import pytest
 
@@ -25,8 +25,10 @@ from svasym import verify
 pytestmark = pytest.mark.acceptance
 
 EXPECTED_STRUCTURAL_FAIL = {
-    "C4": "Monte Carlo growth-rate bias decays like 1/T at |p| = 2; the "
-          "pinned horizon/path budget cannot reach the 0.02 tolerance",
+    "C4": "at |p| = 2 the exponential weights have an effective sample size "
+          "of about 2 in 100 000 paths and the gap grows with T (-1.21 at "
+          "T = 15, -1.62 at T = 50); the pinned horizon/path budget cannot "
+          "reach the 0.02 tolerance",
     "C8": "the pre-asymptotic prefactor at the final eps exceeds the pinned "
           "max(15%, CI) tolerance at any feasible path count",
 }
@@ -41,7 +43,7 @@ def acceptance_report(tmp_path_factory):
 
 
 @pytest.mark.parametrize("cid", CRITERIA_IDS)
-def test_criterion(acceptance_report, cid):
+def test_criterion(acceptance_report, cid, capsys):
     entry = next(e for e in acceptance_report["criteria"]
                  if e["criterion_id"] == cid)
     status = "PASS" if entry["pass"] else "FAIL"
@@ -49,9 +51,9 @@ def test_criterion(acceptance_report, cid):
             f"(measured={json.dumps(entry['measured'], default=str)}, "
             f"tolerance={entry['tolerance']}, {entry['runtime_s']}s, "
             f"seed={entry['seed']})")
-    print(line)
-    # also bypass capture so the verdict lines appear in the live run log
-    print(line, file=sys.__stdout__)
+    # print past capture, so the verdict lines reach the run's own stdout
+    with capsys.disabled():
+        print(line)
     if entry["pass"]:
         return
     if cid in EXPECTED_STRUCTURAL_FAIL:

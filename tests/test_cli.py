@@ -297,3 +297,36 @@ class TestDispatch:
         assert code == 0
         lines = (out / "rate.csv").read_bytes().split(b"\r\n")
         assert lines[1].endswith(b",2")
+
+
+class TestOverrideFlags:
+    """An override flag converts, and exits, as its key in a config."""
+
+    def test_integral_float_paths_like_the_config_key(self, cfg_path, tmp_path):
+        text, _ = _with_line("mc.paths = 1e3")
+        path = tmp_path / "paths.cfg"
+        path.write_text(text, encoding="utf-8")
+        by_key, by_flag = tmp_path / "key", tmp_path / "flag"
+        assert cli.dispatch(["simulate", "--config", str(path),
+                             "--out", str(by_key)]) == 0
+        assert cli.dispatch(["simulate", "--config", cfg_path,
+                             "--out", str(by_flag), "--paths", "1e3"]) == 0
+        blob = (by_key / "simulate_summary.csv").read_bytes()
+        assert blob == (by_flag / "simulate_summary.csv").read_bytes()
+        assert b"\r\n1000," in blob
+
+    def test_unknown_regime_exits_like_the_config_key(self, cfg_path, tmp_path):
+        text, _ = _with_line("regime = 3")
+        path = tmp_path / "regime.cfg"
+        path.write_text(text, encoding="utf-8")
+        assert cli.dispatch(["validate", "--config", str(path),
+                             "--out", str(tmp_path)]) == 1
+        assert cli.dispatch(["validate", "--config", cfg_path,
+                             "--out", str(tmp_path), "--regime", "3"]) == 1
+
+    @pytest.mark.parametrize("flag, raw", [("--paths", "2.5"), ("--t", "abc")])
+    def test_bad_value_names_the_flag(self, flag, raw, cfg_path, tmp_path,
+                                      capsys):
+        assert cli.dispatch(["validate", "--config", cfg_path,
+                             "--out", str(tmp_path), flag, raw]) == 2
+        assert f"bad value for '{flag}'" in capsys.readouterr().err

@@ -246,7 +246,7 @@ def _tilted(params, p, scheme="full_truncation", h=H_TABLE):
 
 
 def _ergodic(params, phi, p, h=H_TABLE):
-    # default n_batches = 8: numpy sums 8 per-path batch values pairwise
+    # ergodic_average's 8 batches: numpy sums 8 per-path batch values pairwise
     # along a contiguous row but in sequence along a strided one, so the
     # digest also pins the memory layout of the batch table
     mc = simulate.McConfig(paths=GOLDEN_PATHS, steps_per_unit_time=100,

@@ -1,6 +1,7 @@
 import hashlib
 import json
 import math
+import time
 from dataclasses import replace
 
 import numpy as np
@@ -10,7 +11,7 @@ from scipy.stats import norm
 from svasym import hamiltonian as ham
 from svasym import measures, rates, simulate, verify
 from svasym.errors import SvasymError, ValidationError
-from svasym.model import Regime, validate
+from svasym.model import Regime, VolFnSpec, validate
 
 
 class TestWilson:
@@ -206,9 +207,21 @@ class TestRunAcceptance:
 
     def test_crash_is_recorded_not_raised(self, monkeypatch):
         def boom(seed):
+            time.sleep(0.05)
             raise RuntimeError("synthetic failure")
         monkeypatch.setitem(verify.CRITERIA, "C1", boom)
         report = verify.run_acceptance({"seed": 42, "criteria": ["C1"]})
         entry = next(e for e in report["criteria"]
                      if e["criterion_id"] == "C1")
         assert not entry["pass"]
+        # the crash keeps the time it took, and the run's seed
+        assert entry["runtime_s"] >= 0.05 and entry["seed"] == 42
+
+    def test_model_validate_cannot_probe_is_a_c0_failure(self):
+        model = replace(verify.fixture_ou(), sigma=VolFnSpec(kind="bogus"))
+        report = verify.run_acceptance({"seed": 7, "criteria": [],
+                                        "model": model})
+        (entry,) = report["criteria"]
+        assert entry["criterion_id"] == "C0" and not entry["pass"]
+        assert entry["description"].startswith("criterion crashed")
+        assert entry["seed"] == 7 and not report["passed"]
