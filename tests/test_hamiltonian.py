@@ -1,13 +1,14 @@
 import hashlib
 import math
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from svasym import hamiltonian as ham
 from svasym import measures
-from svasym.errors import RangeError, ValidationError
+from svasym.errors import ConvexityError, RangeError, ValidationError
 from svasym.model import ModelParams, VolFnSpec
 from svasym.simulate import McConfig
 
@@ -259,3 +260,48 @@ class TestTransformGoldens:
             values, x_star, flags = ham.conjugate(x, f, [0.0])
         assert values[0] == 5e-324 and x_star[0] == x[2]
         assert flags == ("interior",)
+
+
+# Eigen outputs pinned bit for bit: any change to the window search, its
+# growth, the grids or the Richardson step changes these digests.
+CIR = ModelParams(m=1.0, nu=1.0, beta=0.5, rho=0.0, r=0.0,
+                  sigma=VolFnSpec.power_abs(1.0, 0.25), y0=1.0)
+POWER_075 = ModelParams(m=1.0, nu=0.8, beta=0.75, rho=-0.3, r=0.0,
+                        sigma=VolFnSpec.power_abs(0.5, 0.2, 0.1), y0=1.0)
+TABULATED = ModelParams(
+    m=0.0, nu=1.0, beta=0.0, rho=0.2, r=0.0, y0=0.0,
+    sigma=VolFnSpec.tabulated([-2.0, -1.0, 0.0, 1.0, 2.0],
+                              [0.4, 0.3, 0.2, 0.3, 0.45], 0.3))
+# a beta = 1/2 model on which the eigen curve misses discrete convexity
+CONVEXITY_GAP = ModelParams(
+    m=1.314933138049224, nu=1.4755900355867957, beta=0.5, rho=0.0, r=0.0,
+    sigma=VolFnSpec.power_abs(0.49121274943216464, 0.1260382966618113,
+                              0.3977008325228026), y0=1.314933138049224)
+P_EIGEN = np.linspace(-2.0, 2.0, 33)
+
+
+def _eigen_curve(params):
+    curve = ham.build_curve(params, P_EIGEN, method="eigen")
+    return _digest(curve.values, curve.errors)
+
+
+EIGEN_GOLDEN = {
+    "ou": (lambda: _eigen_curve(OU), "4f2711735f9a48d3"),
+    "cir": (lambda: _eigen_curve(CIR), "cf51e6f07959a7d7"),
+    "cir_rho": (lambda: _eigen_curve(replace(CIR, rho=-0.5)), "06fc762260d4029e"),
+    "power_abs_beta_075": (lambda: _eigen_curve(POWER_075), "1652d110f055d9f0"),
+    "tabulated": (lambda: _eigen_curve(TABULATED), "379b717799b4019f"),
+}
+
+
+class TestEigenGoldens:
+    @pytest.mark.parametrize("name", sorted(EIGEN_GOLDEN))
+    def test_digest(self, name):
+        run, expected = EIGEN_GOLDEN[name]
+        assert run() == expected
+
+    def test_raising_model_keeps_its_error(self):
+        with pytest.raises(ConvexityError) as info:
+            ham.build_curve(CONVEXITY_GAP, P_EIGEN, method="eigen")
+        assert str(info.value) == ("discrete convexity violated by 0.000895 "
+                                   "beyond 3x the error estimates")

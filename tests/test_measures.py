@@ -1,4 +1,6 @@
+import hashlib
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -116,3 +118,41 @@ class TestGeneratorForms:
         tab = measures.invariant_density(OU)
         with pytest.raises(GridMismatchError):
             measures.dirichlet_form(OU, 0.0, tab, np.zeros(7))
+
+
+# Deterministic outputs pinned bit for bit: any change to the window
+# search, the grids, the density quadrature or the Richardson step changes
+# these digests.
+OU_RHO = replace(OU, rho=-0.5)
+CIR_RHO = replace(CIR, rho=-0.5)
+
+
+def _digest(*parts) -> str:
+    h = hashlib.sha256()
+    for part in parts:
+        h.update(np.ascontiguousarray(part, dtype="<f8").tobytes())
+    return h.hexdigest()[:16]
+
+
+def _density(params, spec):
+    tab = measures.invariant_density(params, 0.5, spec)
+    return _digest(tab.grid, tab.values, [tab.norm_constant])
+
+
+GOLDEN = {
+    "sigma_bar_sq_ou": (
+        lambda: _digest(measures.sigma_bar_sq(OU, with_error=True)), "46e3e9399fdcddc0"),
+    "sigma_bar_sq_cir": (
+        lambda: _digest(measures.sigma_bar_sq(CIR, with_error=True)), "c1f2f76315a04237"),
+    "invariant_ou_rho_y_lo": (
+        lambda: _density(OU_RHO, measures.GridSpec(y_lo=-4.0)), "0a854b42adf597ab"),
+    "invariant_cir_rho_y_hi": (
+        lambda: _density(CIR_RHO, measures.GridSpec(y_hi=6.0)), "c56f313d6851814d"),
+}
+
+
+class TestGoldenOutputs:
+    @pytest.mark.parametrize("name", sorted(GOLDEN))
+    def test_digest(self, name):
+        run, expected = GOLDEN[name]
+        assert run() == expected

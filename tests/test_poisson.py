@@ -1,3 +1,4 @@
+import hashlib
 import math
 from dataclasses import replace
 
@@ -105,3 +106,34 @@ class TestGrowthBound:
         report = poisson.growth_bound_check(cor, CONST)
         assert report.passed
         assert report.c1 == 0.0
+
+
+# Corrector outputs pinned bit for bit: any change to the window, the
+# working grid or the quadratures changes these digests.
+def _digest(*parts) -> str:
+    h = hashlib.sha256()
+    for part in parts:
+        h.update(np.ascontiguousarray(part, dtype="<f8").tobytes())
+    return h.hexdigest()[:16]
+
+
+def _corrector(params, spec=None):
+    cor = poisson.solve_corrector(params, 1.0, spec)
+    return _digest(cor.grid, cor.chi, cor.chi_prime, cor.chi_prime_left,
+                   cor.chi_prime_right, [cor.sigma_bar_sq],
+                   poisson.generator_residual(params, cor))
+
+
+GOLDEN = {
+    "ou_auto": (lambda: _corrector(OU), "cd512de274a51801"),
+    "cir_auto": (lambda: _corrector(CIR), "54990ed95c2c5d02"),
+    "ou_n1000": (lambda: _corrector(OU, measures.GridSpec(n=1000)), "2645372a0f553af4"),
+    "cir_n1000": (lambda: _corrector(CIR, measures.GridSpec(n=1000)), "73933527d0fa51dd"),
+}
+
+
+class TestGoldenOutputs:
+    @pytest.mark.parametrize("name", sorted(GOLDEN))
+    def test_digest(self, name):
+        run, expected = GOLDEN[name]
+        assert run() == expected
