@@ -22,7 +22,6 @@ of the two routes is the core cross-check of this package.
 
 from __future__ import annotations
 
-import math
 import warnings
 from dataclasses import dataclass, replace
 from typing import Optional, Sequence, Tuple
@@ -32,8 +31,8 @@ from scipy.linalg import eigh_tridiagonal
 
 from .errors import (ConvexityError, RangeError, TruncationError,
                      ValidationError, VarianceWarning)
-from .measures import (DensityTable, GridSpec, _choose_window, _make_grid,
-                       _resolve_window, density_on_grid, invariant_density)
+from .measures import (GridSpec, _choose_window, _make_grid, _resolve_window,
+                       _richardson, density_on_grid, invariant_density)
 from .model import ModelParams, _write_csv, sigma_eval
 from .simulate import (McConfig, McEstimate, _check_mc, log_mean_exp,
                        simulate_tilted, substream_seed)
@@ -103,12 +102,11 @@ class HbarMcResult:
         return self.direct.stderr
 
 
-def _rayleigh_top(params: ModelParams, p: float, table: DensityTable):
-    """Largest eigenvalue of the discretized Rayleigh quotient on the table's
-    grid, plus the edge mass of its eigenfunction (squared, density-weighted,
-    outer 5% of nodes)."""
-    y = table.grid
-    w = table.values
+def _rayleigh_top(params: ModelParams, p: float, y: np.ndarray):
+    """Largest eigenvalue of the discretized Rayleigh quotient on the grid y,
+    weighted by the tilted invariant density there, plus the edge mass of
+    its eigenfunction (squared, density-weighted, outer 5% of nodes)."""
+    w = density_on_grid(params, p, y).values
     n = y.size
     # trapezoid mass weights
     tau = np.empty(n)
@@ -145,8 +143,10 @@ def hbar0_eigen(params: ModelParams, p: float, *,
     """Principal eigenvalue route to Hbar0(p), with a Richardson error bar.
 
     The truncation window starts from the tilted invariant law's window and
-    is enlarged until the eigenfunction keeps its mass away from the edges;
-    TruncationError if that fails after repeated growth.
+    is enlarged until the eigenfunction of the fine grid (``grid_spec.n``,
+    made odd) keeps its mass away from the edges; TruncationError if that
+    fails after repeated growth.  The coarse grid of the Richardson step
+    (every other node) is solved once, on the window kept.
     """
     p = float(p)
     spec = grid_spec or GridSpec()
@@ -154,15 +154,11 @@ def hbar0_eigen(params: ModelParams, p: float, *,
 
     n = spec.n if spec.n % 2 == 1 else spec.n + 1
     for _ in range(MAX_WINDOW_GROWTH):
-        def solve(nn: int):
-            table = density_on_grid(params, p, _make_grid(params, y_lo, y_hi, nn))
-            return _rayleigh_top(params, p, table)
-
-        lam_coarse, _ = solve((n - 1) // 2 + 1)
-        lam, edge_mass = solve(n)
+        lam, edge_mass = _rayleigh_top(params, p, _make_grid(params, y_lo, y_hi, n))
         if edge_mass <= EDGE_MASS_TOL:
-            err = abs(lam - lam_coarse) / 3.0
-            return lam + (lam - lam_coarse) / 3.0, err
+            lam_coarse, _ = _rayleigh_top(
+                params, p, _make_grid(params, y_lo, y_hi, (n - 1) // 2 + 1))
+            return _richardson(lam_coarse, lam)
         # potential pushes the eigenfunction outward: widen and retry
         if params.beta == 0.0:
             mid = 0.5 * (y_lo + y_hi)

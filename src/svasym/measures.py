@@ -117,15 +117,18 @@ def _edge_tail_bounds(y: np.ndarray, w: np.ndarray, left_open: bool):
     return left, right
 
 
-def _choose_window(params: ModelParams, pv: float):
+def _start_window(params: ModelParams) -> Tuple[float, float]:
+    """Start window of the invariant law: m -+ 6 sd of the Gaussian factor
+    (beta = 0), else [0.02, 10] * max(m, nu^2, 0.01)."""
     if params.beta == 0.0:
         sd = params.nu / math.sqrt(2.0)
-        center = params.m
-        y_lo, y_hi = center - 6.0 * sd, center + 6.0 * sd
-    else:
-        scale = max(params.m, params.nu ** 2, 1e-2)
-        y_lo, y_hi = 0.02 * scale, 10.0 * scale
+        return params.m - 6.0 * sd, params.m + 6.0 * sd
+    scale = max(params.m, params.nu ** 2, 1e-2)
+    return 0.02 * scale, 10.0 * scale
 
+
+def _choose_window(params: ModelParams, pv: float):
+    y_lo, y_hi = _start_window(params)
     for _ in range(MAX_EXPANSIONS):
         y = _make_grid(params, y_lo, y_hi, 1025)
         logw = _log_speed_density(params, pv, y)
@@ -137,12 +140,12 @@ def _choose_window(params: ModelParams, pv: float):
             return y_lo, y_hi
         if right >= tol:
             if params.beta == 0.0:
-                y_hi = center + (y_hi - center) * 1.35
+                y_hi = params.m + (y_hi - params.m) * 1.35
             else:
                 y_hi *= 1.5
         if left >= tol:
             if params.beta == 0.0:
-                y_lo = center - (center - y_lo) * 1.35
+                y_lo = params.m - (params.m - y_lo) * 1.35
             else:
                 y_lo /= 3.0
     raise TruncationError("window expansion failed to capture the invariant mass")
@@ -186,6 +189,11 @@ def density_on_grid(params: ModelParams, p, y: np.ndarray) -> DensityTable:
     return DensityTable(grid=y, values=w / z, norm_constant=z)
 
 
+def _richardson(coarse: float, fine: float) -> Tuple[float, float]:
+    """(value, error estimate) of one Richardson step from spacing 2h to h."""
+    return fine + (fine - coarse) / 3.0, abs(fine - coarse) / 3.0
+
+
 def sigma_bar_sq(params: ModelParams, *, with_error: bool = False):
     """Averaged variance int sigma^2 d(pi), refined until the Richardson
     error estimate of the trapezoid quadrature is below SIGMA_BAR_REL_TOL
@@ -205,26 +213,25 @@ def sigma_bar_sq(params: ModelParams, *, with_error: bool = False):
     prev = value((n - 1) // 2 + 1)
     for _ in range(8):
         cur = value(n)
-        err = abs(cur - prev) / 3.0
+        richardson, err = _richardson(prev, cur)
         if err < SIGMA_BAR_REL_TOL * abs(cur):
-            richardson = cur + (cur - prev) / 3.0
             return (richardson, err) if with_error else richardson
         prev = cur
         n = 2 * n - 1
     raise TruncationError("sigma_bar_sq quadrature did not converge to the requested tolerance")
 
 
-def _check_table(table: DensityTable, h: np.ndarray) -> np.ndarray:
+def _check_grid(grid: np.ndarray, h) -> np.ndarray:
     h = np.asarray(h, dtype=float)
-    if h.shape != table.grid.shape:
+    if h.shape != grid.shape:
         raise GridMismatchError(
-            f"function table has shape {h.shape}, density grid {table.grid.shape}")
+            f"function table has shape {h.shape}, density grid {grid.shape}")
     return h
 
 
 def dirichlet_form(params: ModelParams, p, table: DensityTable, h) -> float:
     """Quadratic form (nu^2/2) int |y|^{2 beta} |h'|^2 d(pi^p)."""
-    h = _check_table(table, h)
+    h = _check_grid(table.grid, h)
     hp = np.gradient(h, table.grid)
     integrand = 0.5 * params.nu ** 2 * np.abs(table.grid) ** (2.0 * params.beta) * hp ** 2
     return table.quad(integrand)
@@ -242,10 +249,9 @@ def _second_derivative(h: np.ndarray, y: np.ndarray) -> np.ndarray:
     return hpp
 
 
-def apply_generator(params: ModelParams, p, table: DensityTable, h) -> np.ndarray:
-    """Discrete tilted generator: mu_p h' + (nu^2/2) |y|^{2 beta} h''."""
-    h = _check_table(table, h)
-    y = table.grid
+def apply_generator(params: ModelParams, p, y: np.ndarray, h) -> np.ndarray:
+    """Discrete tilted generator on y: mu_p h' + (nu^2/2) |y|^{2 beta} h''."""
+    h = _check_grid(y, h)
     pv = float(p)
     s = sigma_eval(params.sigma, y, beta=params.beta)
     mu = (params.m - y) + params.rho * pv * s * params.nu * np.abs(y) ** params.beta
@@ -260,14 +266,11 @@ def reversibility_check(params: ModelParams, p, table: DensityTable, f, g) -> fl
     f and g must vanish near the window edges; the residual is limited by the
     O(dy^2) error of the central differences.
     """
-    f = _check_table(table, f)
-    g = _check_table(table, g)
-    bg = apply_generator(params, p, table, g)
-    bf = apply_generator(params, p, table, f)
+    bg = apply_generator(params, p, table.grid, g)
+    bf = apply_generator(params, p, table.grid, f)
     return abs(table.quad(f * bg) - table.quad(g * bf))
 
 
 def stationarity_residual(params: ModelParams, p, table: DensityTable, xi) -> float:
     """|int B^p xi d(pi^p)| for a compactly supported test table xi."""
-    xi = _check_table(table, xi)
-    return abs(table.quad(apply_generator(params, p, table, xi)))
+    return abs(table.quad(apply_generator(params, p, table.grid, xi)))

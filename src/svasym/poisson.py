@@ -18,15 +18,15 @@ is small, so the solver crosses over between them at the density mode.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
 
 from .errors import CenteringError, NotApplicableError
-from .measures import (DensityTable, GridSpec, _choose_window, _resolve_window,
-                       density_on_grid, apply_generator, sigma_bar_sq)
+from .measures import (GridSpec, _choose_window, _make_grid, _resolve_window,
+                       _start_window, density_on_grid, apply_generator,
+                       sigma_bar_sq)
 from .model import ModelParams, _write_csv, sigma_eval
 
 CENTERING_TOL = 1e-5
@@ -34,13 +34,12 @@ CENTERING_TOL = 1e-5
 
 @dataclass(frozen=True)
 class Corrector:
-    """Sampled corrector chi with its derivative and supporting density."""
+    """Sampled corrector chi with its derivative on the cell centers."""
 
     grid: np.ndarray
     chi: np.ndarray
     chi_prime: np.ndarray
     p: float
-    table: DensityTable
     sigma_bar_sq: float
     chi_prime_left: np.ndarray
     chi_prime_right: np.ndarray
@@ -68,7 +67,7 @@ def _corrector_grid(params: ModelParams, y_lo: float, y_hi: float, n: int) -> np
     if params.beta == 0.0:
         h = (y_hi - y_lo) / n
         return y_lo + 0.5 * h * np.arange(1, 2 * n)
-    return np.geomspace(y_lo, y_hi, 2 * n - 1)
+    return _make_grid(params, y_lo, y_hi, 2 * n - 1)
 
 
 def _cumtrapz(f: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -91,17 +90,16 @@ def solve_corrector(params: ModelParams, p: float,
     (``sigma_bar`` if supplied) beyond 1e-5 — the signal of an inconsistent
     window or tolerance.
 
+    The automatic window is the invariant law's (``_choose_window``) for
+    beta != 0.  For beta = 0 it is the start window unexpanded, six standard
+    deviations of the Gaussian factor about m: its tail mass (~1e-9) is far
+    below the corrector's discretization error, while the tighter spacing
+    buys accuracy in the finite-difference residual.
+
     Gauge: chi(m) = 0 (chi is defined up to an additive constant).
     """
-    def auto():
-        if params.beta != 0.0:
-            return _choose_window(params, 0.0)
-        # six standard deviations of the Gaussian factor: tail mass ~1e-9,
-        # far below the corrector's discretization error, while the tighter
-        # spacing buys accuracy in the finite-difference residual
-        sd = params.nu / math.sqrt(2.0)
-        return params.m - 6.0 * sd, params.m + 6.0 * sd
-
+    auto = ((lambda: _start_window(params)) if params.beta == 0.0
+            else (lambda: _choose_window(params, 0.0)))
     spec = grid_spec or GridSpec()
     y_lo, y_hi = _resolve_window(spec, auto)
     y_fine = _corrector_grid(params, y_lo, y_hi, spec.n)
@@ -130,10 +128,8 @@ def solve_corrector(params: ModelParams, p: float,
     chi_base -= np.interp(y_ref, y_fine, chi_base)
 
     out = slice(None, None, 2)  # cell centers
-    y = y_fine[out]
-    table = density_on_grid(params, 0.0, y)
-    return Corrector(grid=y, chi=p_sq * chi_base[out], chi_prime=p_sq * base[out],
-                     p=p, table=table, sigma_bar_sq=sbar_grid,
+    return Corrector(grid=y_fine[out], chi=p_sq * chi_base[out],
+                     chi_prime=p_sq * base[out], p=p, sigma_bar_sq=sbar_grid,
                      chi_prime_left=p_sq * base_left[out],
                      chi_prime_right=p_sq * base_right[out])
 
@@ -143,7 +139,7 @@ def generator_residual(params: ModelParams, corrector: Corrector) -> np.ndarray:
     rhs = 0.5 * corrector.p ** 2 * (
         corrector.sigma_bar_sq
         - sigma_eval(params.sigma, corrector.grid, beta=params.beta) ** 2)
-    return apply_generator(params, 0.0, corrector.table, corrector.chi) - rhs
+    return apply_generator(params, 0.0, corrector.grid, corrector.chi) - rhs
 
 
 def core_residual_norm(params: ModelParams, corrector: Corrector) -> float:

@@ -110,7 +110,7 @@ class TestGeneratorForms:
     def test_generator_on_linear_function(self):
         # B y = (m - y) for the untilted Gaussian factor
         tab = measures.invariant_density(OU)
-        out = measures.apply_generator(OU, 0.0, tab, tab.grid)
+        out = measures.apply_generator(OU, 0.0, tab.grid, tab.grid)
         core = slice(tab.grid.size // 4, -tab.grid.size // 4)
         assert np.max(np.abs(out[core] - (OU.m - tab.grid[core]))) < 1e-8
 
