@@ -21,7 +21,8 @@ import numpy as np
 from . import measures, poisson, rates, simulate, verify
 from . import hamiltonian as ham
 from .errors import ParseError, SvasymError, UnknownKeyError, ValidationError
-from .model import MODEL_KEYS, ModelParams, Regime, from_doc, to_doc, validate
+from .model import (MODEL_KEYS, ModelParams, Regime, _check_time, from_doc,
+                    to_doc, validate)
 
 
 @dataclass(frozen=True)
@@ -183,7 +184,9 @@ def _emit(out_dir: str, name: str) -> str:
 def _rate_ingredient(cfg: RunConfig) -> dict:
     """The regime's rate ingredient as keyword arguments of the rates
     functions: sigma_bar_sq for r = 4; for r = 2 the Legendre transform of
-    the eigen Hamiltonian on the q set the x and log-strike grids ask for."""
+    the eigen Hamiltonian on the q set the x and log-strike grids ask for.
+    A bad t fails here, before the q set divides by it."""
+    _check_time(cfg.t)
     if cfg.regime is Regime.ULTRA_FAST:
         return {"sigma_bar_sq": measures.sigma_bar_sq(cfg.model)}
     curve = ham.build_curve(cfg.model, cfg.p_grid(), method="eigen",

@@ -307,6 +307,12 @@ def _log_abs_scale_integral(params: ModelParams, eps: float) -> float:
     return m + math.log(float(np.sum(np.exp(seg_log - m))))
 
 
+def _check_time(value, name: str = "t") -> None:
+    """ValidationError unless the time ``name`` is finite and > 0."""
+    if not (math.isfinite(value) and value > 0):
+        raise ValidationError(f"{name} must be finite and > 0, got {value!r}")
+
+
 # --- flat-document serialization -------------------------------------------
 
 _SIGMA_KEYS = {"sigma.kind", "sigma.s0", "sigma.c", "sigma.q", "sigma.a", "sigma.growth"}

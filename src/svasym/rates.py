@@ -25,7 +25,7 @@ import numpy as np
 
 from .errors import ATMWarning, RangeError, ResolutionError, ValidationError
 from .hamiltonian import LegendreCurve, _sup_refined
-from .model import Regime, _write_csv
+from .model import Regime, _check_time, _write_csv
 
 ATM_BAND = 1e-9  # |log K - x0| below which a strike is at the money
 
@@ -77,8 +77,7 @@ def rate_i4(x, x0: float, t: float, sigma_bar_sq: float):
 
     The square is np.float_power's, which rounds alike for scalar and array
     x (``**`` squares an array exactly but calls pow on a scalar)."""
-    if t <= 0:
-        raise ValidationError("t must be > 0")
+    _check_time(t)
     _check_sigma_bar_sq(sigma_bar_sq)
     x = np.asarray(x, dtype=float)
     out = np.float_power(x0 - x, 2) / (2.0 * sigma_bar_sq * t)
@@ -87,8 +86,7 @@ def rate_i4(x, x0: float, t: float, sigma_bar_sq: float):
 
 def rate_i2(x, x0: float, t: float, legendre: LegendreCurve):
     """Fast-regime rate function t * Lbar0((x0 - x)/t)."""
-    if t <= 0:
-        raise ValidationError("t must be > 0")
+    _check_time(t)
     if legendre is None:
         raise ValidationError("the fast-regime rate needs a Legendre curve")
     return t * legendre((x0 - np.asarray(x, dtype=float)) / t)
@@ -123,16 +121,14 @@ def lax_solution(h_grid: Sequence[float], h_values: Sequence[float], t: float,
     parabolic fit at each argmax; RangeError naming the first x whose sup
     sits on the table edge (the table window is too small for that x).
     """
-    if t <= 0:
-        raise ValidationError("t must be > 0")
+    _check_time(t)
     h_grid = np.asarray(h_grid, dtype=float)
     h_values = np.asarray(h_values, dtype=float)
     scalar = np.ndim(x) == 0
     xs = np.atleast_1d(np.asarray(x, dtype=float))
 
     if regime is Regime.ULTRA_FAST:
-        if sigma_bar_sq is None:
-            raise ValidationError("the ultra-fast regime needs sigma_bar_sq")
+        _check_sigma_bar_sq(sigma_bar_sq)
         cost = lambda q: q * q / (2.0 * sigma_bar_sq)
     else:
         if legendre is None:

@@ -33,7 +33,7 @@ import numpy as np
 from scipy.special import logsumexp
 
 from .errors import StabilityError, ValidationError, VarianceWarning
-from .model import ModelParams, Regime, _sigma_into, _write_csv
+from .model import ModelParams, Regime, _check_time, _sigma_into, _write_csv
 
 BLOCK_PATHS = 65536
 SCHEMES = ("full_truncation", "reflect")
@@ -271,6 +271,7 @@ def simulate_xy(params: ModelParams, regime: Regime, eps: float, t: float,
                 mc: McConfig) -> PathBatch:
     """Simulate the coupled (X, Y) system to slow time t."""
     _check_mc(params, mc)
+    _check_time(t)
     if not 0.0 < eps <= 1.0:
         raise ValidationError("eps must lie in (0, 1]")
     delta = eps ** regime.r
@@ -304,6 +305,10 @@ def _tilted_loop(params: ModelParams, T: float, mc: McConfig, p: float, h,
                  y_start: Optional[float], burn_in: float):
     """(n_steps, dt, burn_steps, stepper factory) of the tilted factor
     process on its own clock (lam = 1), started at y_start (default y0)."""
+    _check_mc(params, mc)
+    _check_time(T, "T")
+    if not 0.0 <= burn_in < T:
+        raise ValidationError("burn_in must lie in [0, T)")
     dt = 1.0 / mc.steps_per_unit_time
     n_steps = max(1, int(math.ceil(T / dt)))
     dt = T / n_steps
@@ -326,9 +331,6 @@ def simulate_tilted(params: ModelParams, T: float, mc: McConfig, *,
     h'(y).  Accumulators (int sigma^2 ds, int sigma dW2) start after
     ``burn_in``; a non-finite state or accumulator raises StabilityError.
     """
-    _check_mc(params, mc)
-    if not 0.0 <= burn_in < T:
-        raise ValidationError("burn_in must lie in [0, T)")
     n_steps, dt, burn_steps, stepper = _tilted_loop(params, T, mc, p, h, y_start, burn_in)
     sq_dt = math.sqrt(dt)
 
@@ -359,7 +361,6 @@ def ergodic_average(params: ModelParams, phi, T: float, mc: McConfig, *,
     the mixing time).  A non-finite state or batch sum raises
     StabilityError.
     """
-    _check_mc(params, mc)
     n_batches = 8
     if callable(phi):
         phi_fn = phi

@@ -25,8 +25,8 @@ from scipy.special import log_ndtr
 
 from . import hamiltonian as ham
 from . import measures, poisson, rates, simulate
-from .errors import SvasymError, ValidationError
-from .model import ModelParams, Regime, VolFnSpec, validate
+from .errors import ValidationError
+from .model import ModelParams, Regime, VolFnSpec, _check_time, validate
 
 WILSON_Z = 1.959963984540054  # two-sided 95%
 MIN_HITS = 50
@@ -145,15 +145,14 @@ def ldp_tail(params: ModelParams, regime: Regime, x: float, t: float,
     max(15% relative, its CI width) of the prediction.
     """
     if x == params.x0:
-        raise SvasymError("the tail target x must differ from x0")
+        raise ValidationError("the tail target x must differ from x0")
     eps_sequence = tuple(float(e) for e in eps_sequence)
     if any(b >= a for a, b in zip(eps_sequence, eps_sequence[1:])):
-        raise SvasymError("eps_sequence must be strictly decreasing")
+        raise ValidationError("eps_sequence must be strictly decreasing")
     simulate._check_mc(params, mc)
     if not all(0.0 < e <= 1.0 for e in eps_sequence):
         raise ValidationError("eps must lie in (0, 1]")
-    if t <= 0:
-        raise ValidationError("t must be > 0")
+    _check_time(t)
     upper = x > params.x0
     if predicted is None:
         predicted = -rates._rate(regime, x, params.x0, t, sigma_bar_sq, legendre)
@@ -467,12 +466,9 @@ def _c11_determinism(seed: int) -> dict:
     blobs = []
     with tempfile.TemporaryDirectory() as tmp:
         cfg_path = os.path.join(tmp, "fixture.cfg")
-        with open(cfg_path, "w", encoding="utf-8") as fh:
-            fh.write("m = 0\nnu = 1.4142135623730951\nbeta = 0\nrho = 0\n"
-                     "rate = 0\ny0 = 0\nx0 = 0\nsigma.kind = power_abs\n"
-                     "sigma.c = 1\nsigma.q = 0.5\n"
-                     f"mc.paths = 200000\nmc.seed = {seed}\n"
-                     "regime = 4\neps = 0.5\nt = 1.0\n")
+        cli.write_config(cli.RunConfig(
+            model=fixture_ou(), regime=Regime.ULTRA_FAST, eps=0.5, t=1.0,
+            mc=simulate.McConfig(paths=200_000, seed=seed)), cfg_path)
         old = os.environ.get("SVASYM_THREADS")
         try:
             for threads in ("1", "4"):

@@ -330,3 +330,21 @@ class TestOverrideFlags:
         assert cli.dispatch(["validate", "--config", cfg_path,
                              "--out", str(tmp_path), flag, raw]) == 2
         assert f"bad value for '{flag}'" in capsys.readouterr().err
+
+
+class TestBadTime:
+    """A t that is not finite and > 0 ends each command that uses it in
+    exit code 1 and an error line: no traceback, no NaN columns."""
+
+    @pytest.mark.parametrize("regime", ["4", "2"])
+    @pytest.mark.parametrize("t", ["nan", "inf", "-1", "0"])
+    @pytest.mark.parametrize("command", ["simulate", "rate", "smile", "price"])
+    def test_exit_1_with_error_line(self, command, t, regime, tmp_path, capsys):
+        text, _ = _with_line(f"t = {t}")
+        path = tmp_path / "t.cfg"
+        path.write_text(text, encoding="utf-8")
+        out = tmp_path / "out"
+        assert cli.dispatch([command, "--config", str(path), "--out", str(out),
+                             "--regime", regime]) == 1
+        assert capsys.readouterr().err.startswith("error: t must be finite and > 0")
+        assert not any(out.iterdir())

@@ -4,10 +4,14 @@ perfbench/.  A parameter that no call sets has one value in use, so it
 belongs in a constant.
 
 A call counts for every function of the called name (plain or attribute).
-One with ``*args`` passes every positional parameter, one with ``**kwargs``
-every keyword parameter.  A call through a dispatch table (a subscripted
-name bound to a dict of functions) counts for every function in the table,
-and a call of a class counts for its ``__init__``.
+One with ``*args`` passes every positional parameter.  A ``**`` operand
+passes the string keys of the dict literals it is built from: a literal, a
+call of a helper whose every return is one, or a name bound to either in
+the enclosing function, plus its ``name["key"] = ...`` assignments there.
+Any other ``**`` operand passes every keyword parameter.  A call through a
+dispatch table (a subscripted name bound to a dict of functions) counts for
+every function in the table, and a call of a class counts for its
+``__init__``.
 """
 
 import ast
@@ -88,21 +92,100 @@ def _callees(func: ast.expr, tables) -> set:
     return set()
 
 
+def _literal_keys(node: ast.expr):
+    """The keys of a dict literal whose keys are all strings, else None."""
+    if isinstance(node, ast.Dict) and all(
+            isinstance(k, ast.Constant) and isinstance(k.value, str)
+            for k in node.keys):
+        return {k.value for k in node.keys}
+    return None
+
+
+def _returned_keys(trees) -> dict:
+    """Function name -> union of the keys of its returned dict literals;
+    None when some return of a function of that name is anything else."""
+    returned = {}
+    for tree in trees:
+        for fn in ast.walk(tree):
+            if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                keys = [ret.value and _literal_keys(ret.value)
+                        for ret in ast.walk(fn) if isinstance(ret, ast.Return)]
+                prev = returned.get(fn.name, set())
+                returned[fn.name] = (None if prev is None or None in keys
+                                     else prev.union(*keys))
+    return returned
+
+
+def _star_keys(operand: ast.expr, scope: ast.AST, returned: dict):
+    """The keyword names a ``**`` operand passes, or {None} for all.  A name
+    resolves only when the scope binds it by plain assignment alone (not as
+    a parameter) and changes it only by ``name["key"] = ...``."""
+    def keys_of(node):
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Name):
+            return returned.get(node.func.id)
+        return _literal_keys(node)
+
+    if not isinstance(operand, ast.Name):
+        keys = keys_of(operand)
+        return {None} if keys is None else keys
+    name = operand.id
+    is_name = lambda node: isinstance(node, ast.Name) and node.id == name
+    keys, bound = set(), set()
+    for node in ast.walk(scope):
+        if isinstance(node, ast.arg) and node.arg == name:
+            return {None}
+        if (is_name(node) and isinstance(node.ctx, ast.Store)
+                and id(node) not in bound):
+            return {None}  # bound by a loop, unpacking, with or walrus
+        if isinstance(node, ast.AugAssign) and is_name(node.target):
+            return {None}
+        if isinstance(node, ast.Attribute) and is_name(node.value):
+            return {None}  # e.g. name.update(...)
+        for target in node.targets if isinstance(node, ast.Assign) else ():
+            if is_name(target):
+                got = keys_of(node.value)
+                bound.add(id(target))
+            elif isinstance(target, ast.Subscript) and is_name(target.value):
+                key = target.slice
+                got = ({key.value} if isinstance(key, ast.Constant)
+                       and isinstance(key.value, str) else None)
+            else:
+                continue
+            if got is None:
+                return {None}
+            keys |= got
+    return keys if bound else {None}
+
+
+def _scoped_calls(node: ast.AST, scope: ast.AST):
+    """(call, innermost enclosing function or module) of every call."""
+    for child in ast.iter_child_nodes(node):
+        inner = (child if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef))
+                 else scope)
+        if isinstance(child, ast.Call):
+            yield child, scope
+        yield from _scoped_calls(child, inner)
+
+
 def _passed(trees) -> dict:
     """Called name -> (positional argument count, keyword names) of the
-    calls; ``*args`` counts as unbounded and ``**kwargs`` as the key None."""
+    calls; ``*args`` counts as unbounded and an unresolved ``**`` operand
+    as the key None."""
     tables = _dispatch_tables(trees)
+    returned = _returned_keys(trees)
     passed = defaultdict(lambda: [0, set()])
     for tree in trees:
-        for call in ast.walk(tree):
-            if not isinstance(call, ast.Call):
-                continue
+        for call, scope in _scoped_calls(tree, tree):
             n_pos = (float("inf") if any(isinstance(a, ast.Starred) for a in call.args)
                      else len(call.args))
+            keywords = set()
+            for kw in call.keywords:
+                keywords |= ({kw.arg} if kw.arg is not None
+                             else _star_keys(kw.value, scope, returned))
             for name in _callees(call.func, tables):
                 entry = passed[name]
                 entry[0] = max(entry[0], n_pos)
-                entry[1].update(kw.arg for kw in call.keywords)
+                entry[1].update(keywords)
     return passed
 
 
@@ -147,7 +230,33 @@ f(0, 1, c=3)
 g(*args, **kwargs)
 TABLE["h"](0, 2)
 K(1).m(2)
-K.s()
+K.s(**{"y": 0})
 '''
     tree = ast.parse(source)
     assert set(_dead_options(tree, _passed([tree]))) == {("h", "c"), ("s", "x")}
+
+
+def test_guard_resolves_double_star_keys():
+    source = '''
+def f(a, *, b=1, c=2, d=3): pass
+def g(a, *, b=1, c=2): pass
+def h(a, *, b=1, c=2): pass
+def opts(flag):
+    if flag:
+        return {"b": 1}
+    return {"c": 2}
+def other(): return dict(b=1)
+def caller(kwargs):
+    kw = opts(True)
+    kw["d"] = 4
+    f(0, **kw)
+    g(0, **other())
+    h(0, **kwargs)
+'''
+    tree = ast.parse(source)
+    # f gets b and c from the helper's literals and d from the assignment;
+    # other()'s return is no literal, so it passes all of g's keywords
+    assert _dead_options(tree, _passed([tree])) == []
+    narrowed = source.replace('kw["d"] = 4', "kw = {}")
+    tree = ast.parse(narrowed)
+    assert set(_dead_options(tree, _passed([tree]))) == {("f", "d")}

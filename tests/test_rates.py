@@ -300,8 +300,8 @@ class TestTransformGoldens:
         assert val == 5e-324
 
 
-# Each call lacks its regime's ingredient (or has a negative sigma_bar^2) and
-# must end in ValidationError, raised before any Monte Carlo work.
+# Each call lacks its regime's ingredient (or has a sigma_bar^2 that is not
+# > 0) and must end in ValidationError, raised before any Monte Carlo work.
 def _ldp_tail(regime):
     return verify.ldp_tail(CONST, regime, 0.15, 1.0, (0.5, 0.4, 0.3),
                            McConfig(paths=10))
@@ -330,6 +330,9 @@ BAD_INGREDIENT = {
     "smile_fast_negative_sigma_bar_sq": lambda: rates.implied_vol_curve(
         X0, Regime.FAST, T_GOLD, LOGK_GOLD, sigma_bar_sq=-1.0,
         legendre=LEG_GOLD),
+    **{f"lax_solution_sigma_bar_sq_{v}": (lambda v=v: rates.lax_solution(
+        H_TABLE, PAYOFF, T_GOLD, X_GOLD[::6], Regime.ULTRA_FAST,
+        sigma_bar_sq=v)) for v in (0.0, -1.0, math.nan)},
 }
 
 
@@ -337,3 +340,25 @@ BAD_INGREDIENT = {
 def test_missing_or_invalid_ingredient_is_validation_error(name):
     with pytest.raises(ValidationError):
         BAD_INGREDIENT[name]()
+
+
+# Each call takes one time argument and must reject every value that is not
+# finite and > 0 with ValidationError (NaN passes a plain t <= 0 test).
+BAD_TIMES = [0.0, -1.0, math.nan, math.inf]
+TIME_CALLS = {
+    "rate_i4": lambda t: rates.rate_i4(X_GOLD, X0, t, SBAR2_GOLD),
+    "rate_i2": lambda t: rates.rate_i2(X_GOLD, X0, t, LEG_GOLD),
+    "lax_solution": lambda t: rates.lax_solution(
+        H_TABLE, PAYOFF, t, X_GOLD[::6], Regime.ULTRA_FAST,
+        sigma_bar_sq=SBAR2_GOLD),
+    "ldp_tail": lambda t: verify.ldp_tail(
+        CONST, Regime.ULTRA_FAST, 0.15, t, (0.5, 0.4, 0.3),
+        McConfig(paths=10), sigma_bar_sq=SBAR2),
+}
+
+
+@pytest.mark.parametrize("t", BAD_TIMES)
+@pytest.mark.parametrize("name", sorted(TIME_CALLS))
+def test_time_must_be_finite_and_positive(name, t):
+    with pytest.raises(ValidationError, match="^t must be finite and > 0"):
+        TIME_CALLS[name](t)

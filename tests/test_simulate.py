@@ -294,3 +294,22 @@ class TestGoldenOutputs:
         monkeypatch.setenv("SVASYM_THREADS", threads)
         run, expected = GOLDEN[name]
         assert run() == expected
+
+
+# A horizon that is not finite and > 0 is a ValidationError, not an
+# OverflowError from the step count or a zero-length step.
+TIME_CALLS = {
+    "simulate_xy": lambda t: simulate.simulate_xy(
+        OU, Regime.FAST, 0.5, t, simulate.McConfig(paths=10)),
+    "simulate_tilted": lambda t: simulate.simulate_tilted(
+        OU, t, simulate.McConfig(paths=10)),
+    "ergodic_average": lambda t: simulate.ergodic_average(
+        OU, np.abs, t, simulate.McConfig(paths=10)),
+}
+
+
+@pytest.mark.parametrize("t", [0.0, -1.0, math.nan, math.inf])
+@pytest.mark.parametrize("name", sorted(TIME_CALLS))
+def test_time_must_be_finite_and_positive(name, t):
+    with pytest.raises(ValidationError, match="^[tT] must be finite and > 0"):
+        TIME_CALLS[name](t)

@@ -10,7 +10,7 @@ from scipy.stats import norm
 
 from svasym import hamiltonian as ham
 from svasym import measures, rates, simulate, verify
-from svasym.errors import SvasymError, ValidationError
+from svasym.errors import ValidationError
 from svasym.model import Regime, VolFnSpec, validate
 
 
@@ -41,14 +41,14 @@ class TestLdpTail:
     def test_rejects_target_at_start(self):
         params = verify.fixture_bs()
         mc = simulate.McConfig(paths=100)
-        with pytest.raises(SvasymError):
+        with pytest.raises(ValidationError):
             verify.ldp_tail(params, Regime.ULTRA_FAST, params.x0, 1.0,
                             (0.5, 0.25), mc, sigma_bar_sq=0.04)
 
     def test_rejects_non_decreasing_sequence(self):
         params = verify.fixture_bs()
         mc = simulate.McConfig(paths=100)
-        with pytest.raises(SvasymError):
+        with pytest.raises(ValidationError):
             verify.ldp_tail(params, Regime.ULTRA_FAST, 0.1, 1.0,
                             (0.25, 0.5), mc, sigma_bar_sq=0.04)
 
