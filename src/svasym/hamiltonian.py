@@ -14,10 +14,16 @@ principal eigenvalue of the tilted generator plus the potential
                |h'|^2 dpi^p.
 
 `hbar0_eigen` discretizes the Rayleigh quotient as a symmetric tridiagonal
-generalized eigenproblem; `hbar0_mc` estimates the growth rate by plain
-Monte Carlo over a long horizon, in both the direct form above and the
-equivalent exponential-martingale form on the untilted process.  Agreement
-of the two routes is the core cross-check of this package.
+generalized eigenproblem.  Its stiffness part is negative semidefinite, so
+the top eigenvalue lies between the constant function's quotient (the
+mass-weighted mean of the potential, the discrete C5 bound) and the
+potential's maximum on the grid; bisection runs on that bracket alone, to
+1e-12 of its top.  Without correlation the problem at -p is the one at p,
+and `build_curve` solves each |p| once.  `hbar0_mc` estimates the growth
+rate by plain Monte Carlo over a long horizon, in both the direct form
+above and the equivalent exponential-martingale form on the untilted
+process.  Agreement of the two routes is the core cross-check of this
+package.
 """
 
 from __future__ import annotations
@@ -27,19 +33,21 @@ from dataclasses import dataclass, replace
 from typing import Optional, Sequence, Tuple
 
 import numpy as np
-from scipy.linalg import eigh_tridiagonal
+from scipy.linalg.lapack import dstebz, dstein
 
-from .errors import (ConvexityError, RangeError, TruncationError,
-                     ValidationError, VarianceWarning)
+from .errors import (ConvexityError, RangeError, ResolutionError,
+                     TruncationError, ValidationError, VarianceWarning)
 from .measures import (GridSpec, _choose_window, _make_grid, _resolve_window,
                        _richardson, density_on_grid, invariant_density)
-from .model import ModelParams, _write_csv, sigma_eval
+from .model import ModelParams, _check_momentum, _write_csv, sigma_eval
 from .simulate import (McConfig, McEstimate, _check_mc, log_mean_exp,
                        simulate_tilted, substream_seed)
 
 EDGE_MASS_TOL = 1e-6
 MAX_WINDOW_GROWTH = 8
 _SUP_BLOCK = 1 << 16      # objective samples per block of the sup scan
+_BRACKET_PAD = 1e-6       # pad of the eigenvalue bracket, relative to its top
+_EIGEN_RTOL = 1e-12       # bisection tolerance, relative to the bracket's top
 
 
 @dataclass(frozen=True)
@@ -102,10 +110,49 @@ class HbarMcResult:
         return self.direct.stderr
 
 
-def _rayleigh_top(params: ModelParams, p: float, y: np.ndarray):
+def _top_eigen(d: np.ndarray, e: np.ndarray, lo: float, hi: float,
+               vector: bool):
+    """Largest eigenvalue of the symmetric tridiagonal matrix with diagonal
+    d and off-diagonal e, known to lie in [lo, hi] (0 <= lo <= hi), and its
+    unit eigenvector if ``vector`` (else None).
+
+    Bisection (LAPACK stebz) runs only on the bracket, padded by
+    _BRACKET_PAD of hi, and stops at _EIGEN_RTOL of hi, not at LAPACK's
+    default eps * ||T||_1, which the stiff rows of a graded grid make
+    coarse.  It finds every eigenvalue in the padded bracket; inverse
+    iteration (stein) then computes the eigenvector of the largest alone.
+    ValueError if d or e holds an inf or NaN; ResolutionError if no
+    eigenvalue lies in the padded bracket.
+    """
+    d, e = np.asarray_chkfinite(d), np.asarray_chkfinite(e)
+    # the tiny floor keeps the interval open where the potential vanishes
+    pad = _BRACKET_PAD * hi + np.finfo(float).tiny
+    found, vals, block, split, info = dstebz(
+        d, e, 1, lo - pad, hi + pad, 0, 0, _EIGEN_RTOL * hi, b"E")
+    if info != 0 or found == 0:
+        raise ResolutionError(
+            f"no eigenvalue in the potential's bracket [{lo!r}, {hi!r}]: "
+            "rounding in the assembled eigenproblem exceeds the bracket's pad")
+    top = vals[found - 1:found]
+    if not vector:
+        return float(top[0]), None
+    block[0] = block[found - 1]
+    vecs, _ = dstein(d, e, top, block, split)
+    return float(top[0]), vecs[:, 0]
+
+
+def _rayleigh_top(params: ModelParams, p: float, y: np.ndarray,
+                  vector: bool = True):
     """Largest eigenvalue of the discretized Rayleigh quotient on the grid y,
     weighted by the tilted invariant density there, plus the edge mass of
-    its eigenfunction (squared, density-weighted, outer 5% of nodes)."""
+    its eigenfunction (squared, density-weighted, outer 5% of nodes), or
+    None without ``vector``.
+
+    The stiffness is negative semidefinite, so the eigenvalue lies between
+    the constant function's Rayleigh quotient -- the mass-weighted mean of
+    the potential (p^2/2) sigma^2, the discrete C5 bound -- and the
+    potential's maximum on y; ``_top_eigen`` solves inside that bracket.
+    """
     w = density_on_grid(params, p, y).values
     n = y.size
     # trapezoid mass weights
@@ -117,25 +164,28 @@ def _rayleigh_top(params: ModelParams, p: float, y: np.ndarray):
     mass = w * tau
     mass = np.maximum(mass, 1e-300)
 
-    sig_sq = sigma_eval(params.sigma, y, beta=params.beta) ** 2
+    v = 0.5 * p * p * sigma_eval(params.sigma, y, beta=params.beta) ** 2
     y_mid = 0.5 * (y[1:] + y[:-1])
     w_mid = np.sqrt(w[1:] * w[:-1])
     c_mid = 0.5 * params.nu ** 2 * np.abs(y_mid) ** (2.0 * params.beta) * w_mid
     k = c_mid / dy  # stiffness couplings: E(h,h) = sum k_i (h_{i+1}-h_i)^2
 
-    diag = 0.5 * p * p * sig_sq * mass.copy()
+    diag = v * mass
     diag[:-1] -= k
     diag[1:] -= k
     # symmetrize against the diagonal mass matrix
     d = diag / mass
     e = k / np.sqrt(mass[:-1] * mass[1:])
-    vals, vecs = eigh_tridiagonal(d, e, select="i", select_range=(n - 1, n - 1))
-    phi = vecs[:, 0] / np.sqrt(mass)          # back to function values
+    lo = float(np.sum(v * mass) / np.sum(mass))
+    top, vec = _top_eigen(d, e, lo, float(np.max(v)), vector)
+    if vec is None:
+        return top, None
+    phi = vec / np.sqrt(mass)  # back to function values
     weight = phi * phi * mass
     weight /= weight.sum()
     edge = max(int(round(0.05 * n)), 2)
     edge_mass = float(weight[:edge].sum() + weight[-edge:].sum())
-    return float(vals[0]), edge_mass
+    return top, edge_mass
 
 
 def hbar0_eigen(params: ModelParams, p: float, *,
@@ -146,9 +196,16 @@ def hbar0_eigen(params: ModelParams, p: float, *,
     is enlarged until the eigenfunction of the fine grid (``grid_spec.n``,
     made odd) keeps its mass away from the edges; TruncationError if that
     fails after repeated growth.  The coarse grid of the Richardson step
-    (every other node) is solved once, on the window kept.
+    (every other node) is solved once, on the window kept, without an
+    eigenvector.
+
+    Each solve bisects only between the potential's bounds on the grid, to
+    1e-12 of the larger (see ``_rayleigh_top`` and ``_top_eigen``).  Hbar0(0)
+    is 0 exactly, with error 0.  ValidationError if p is not finite.
     """
-    p = float(p)
+    p = _check_momentum(p)
+    if p == 0.0:
+        return 0.0, 0.0
     spec = grid_spec or GridSpec()
     y_lo, y_hi = _resolve_window(spec, lambda: _choose_window(params, p))
 
@@ -157,7 +214,8 @@ def hbar0_eigen(params: ModelParams, p: float, *,
         lam, edge_mass = _rayleigh_top(params, p, _make_grid(params, y_lo, y_hi, n))
         if edge_mass <= EDGE_MASS_TOL:
             lam_coarse, _ = _rayleigh_top(
-                params, p, _make_grid(params, y_lo, y_hi, (n - 1) // 2 + 1))
+                params, p, _make_grid(params, y_lo, y_hi, (n - 1) // 2 + 1),
+                vector=False)
             return _richardson(lam_coarse, lam)
         # potential pushes the eigenfunction outward: widen and retry
         if params.beta == 0.0:
@@ -183,7 +241,7 @@ def hbar0_mc(params: ModelParams, p: float, T: float, mc: McConfig) -> HbarMcRes
     form runs on sub-stream 0 of ``mc.seed`` and the martingale form on
     sub-stream 1.
     """
-    p = float(p)
+    p = _check_momentum(p)
     if T * 1.0 <= 10.0:
         raise ValidationError("horizon T must exceed 10 relaxation times")
     _check_mc(params, mc)
@@ -220,9 +278,10 @@ def build_curve(params: ModelParams, p_grid: Sequence[float],
     estimates) or "closed-form" (constant sigma only: sigma0^2 p^2 / 2,
     errors 0); the Monte Carlo route is ``hbar0_mc``, called per momentum.
 
-    The value at p = 0 is pinned to 0 exactly (the defining normalization);
-    discrete convexity violations beyond 3x the stacked error estimates
-    raise ConvexityError.
+    The value at p = 0 is pinned to 0 exactly (the defining normalization).
+    With rho = 0 the value and error at -p are those solved at p, so the
+    curve is even bit for bit.  Discrete convexity violations beyond 3x the
+    stacked error estimates raise ConvexityError.
     """
     p_grid = np.asarray(p_grid, dtype=float)
     if p_grid.ndim != 1 or p_grid.size < 3 or np.any(np.diff(p_grid) <= 0):
@@ -234,11 +293,15 @@ def build_curve(params: ModelParams, p_grid: Sequence[float],
 
     values = np.empty_like(p_grid)
     errors = np.zeros_like(p_grid)
-    for i, p in enumerate(p_grid):
+    # without correlation the problem at -p is the one at p
+    mirror = params.rho == 0.0
+    for i in reversed(range(p_grid.size)):
+        p = p_grid[i]
         if p == 0.0:
             values[i] = 0.0
-            continue
-        if method == "eigen":
+        elif mirror and p < 0.0:
+            values[i], errors[i] = values[-1 - i], errors[-1 - i]
+        elif method == "eigen":
             values[i], errors[i] = hbar0_eigen(params, p, grid_spec=grid_spec)
         elif method == "closed-form":
             if params.sigma.kind != "constant":

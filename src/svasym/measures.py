@@ -20,7 +20,8 @@ import numpy as np
 from scipy.integrate import quad, trapezoid
 
 from .errors import DomainError, GridMismatchError, TruncationError
-from .model import ModelParams, _write_csv, scale_log_integrand, sigma_eval
+from .model import (ModelParams, _check_momentum, _write_csv,
+                    scale_log_integrand, sigma_eval)
 
 TAIL_REL_TOL = 1e-10      # target tail mass during window expansion
 MAX_EXPANSIONS = 60
@@ -168,10 +169,12 @@ def invariant_density(params: ModelParams, p: float = 0.0,
 
     The window expands geometrically until the analytic tail bound of the
     speed density drops below 1e-10 of the total, then the density is
-    normalized by trapezoid quadrature on the final grid.
+    normalized by trapezoid quadrature on the final grid.  ValidationError
+    if p is not finite.
     """
+    p = _check_momentum(p)
     spec = grid_spec or GridSpec()
-    y_lo, y_hi = _resolve_window(spec, lambda: _choose_window(params, float(p)))
+    y_lo, y_hi = _resolve_window(spec, lambda: _choose_window(params, p))
     table = density_on_grid(params, p, _make_grid(params, y_lo, y_hi, spec.n))
     z = table.norm_constant
     if not math.isfinite(z) or z <= 0:

@@ -313,6 +313,14 @@ def _check_time(value, name: str = "t") -> None:
         raise ValidationError(f"{name} must be finite and > 0, got {value!r}")
 
 
+def _check_momentum(p) -> float:
+    """The momentum p as a float; ValidationError unless it is finite."""
+    p = float(p)
+    if not math.isfinite(p):
+        raise ValidationError(f"p must be finite, got {p!r}")
+    return p
+
+
 # --- flat-document serialization -------------------------------------------
 
 _SIGMA_KEYS = {"sigma.kind", "sigma.s0", "sigma.c", "sigma.q", "sigma.a", "sigma.growth"}

@@ -27,7 +27,7 @@ from .errors import CenteringError, NotApplicableError
 from .measures import (GridSpec, _choose_window, _make_grid, _resolve_window,
                        _start_window, density_on_grid, apply_generator,
                        sigma_bar_sq)
-from .model import ModelParams, _write_csv, sigma_eval
+from .model import ModelParams, _check_momentum, _write_csv, sigma_eval
 
 CENTERING_TOL = 1e-5
 
@@ -97,7 +97,9 @@ def solve_corrector(params: ModelParams, p: float,
     buys accuracy in the finite-difference residual.
 
     Gauge: chi(m) = 0 (chi is defined up to an additive constant).
+    ValidationError if p is not finite.
     """
+    p = _check_momentum(p)
     auto = ((lambda: _start_window(params)) if params.beta == 0.0
             else (lambda: _choose_window(params, 0.0)))
     spec = grid_spec or GridSpec()
@@ -121,7 +123,6 @@ def solve_corrector(params: ModelParams, p: float,
     base_right = -(cum[-1] - cum) / denom
     base = np.where(y_fine <= fine.mode(), base_left, base_right)
 
-    p = float(p)
     p_sq = p * p  # chi and chi' scale exactly by p^2
     chi_base = _cumtrapz(base, y_fine)
     y_ref = min(max(params.m, y_fine[0]), y_fine[-1])

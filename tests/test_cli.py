@@ -348,3 +348,19 @@ class TestBadTime:
                              "--regime", regime]) == 1
         assert capsys.readouterr().err.startswith("error: t must be finite and > 0")
         assert not any(out.iterdir())
+
+
+class TestBadMomentum:
+    """A tilt momentum that is not finite ends each command that reads it in
+    exit code 1 and an error line: no NaN columns, no misleading window
+    error."""
+
+    @pytest.mark.parametrize("p", ["nan", "inf", "-inf"])
+    @pytest.mark.parametrize("command", ["poisson", "invariant"])
+    def test_exit_1_with_error_line(self, command, p, cfg_path, tmp_path, capsys):
+        out = tmp_path / "out"
+        # "--p=-inf": a separate "-inf" would parse as an option
+        assert cli.dispatch([command, "--config", cfg_path, "--out", str(out),
+                             f"--p={p}"]) == 1
+        assert capsys.readouterr().err.startswith("error: p must be finite")
+        assert not out.exists() or not any(out.iterdir())

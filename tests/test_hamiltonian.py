@@ -7,8 +7,9 @@ import numpy as np
 import pytest
 
 from svasym import hamiltonian as ham
-from svasym import measures
-from svasym.errors import ConvexityError, RangeError, ValidationError
+from svasym import measures, poisson
+from svasym.errors import (ConvexityError, RangeError, ResolutionError,
+                           ValidationError)
 from svasym.model import ModelParams, VolFnSpec
 from svasym.simulate import McConfig
 
@@ -42,6 +43,104 @@ class TestEigen:
         coarse, err = ham.hbar0_eigen(OU, 1.0, grid_spec=measures.GridSpec(n=513))
         fine, _ = ham.hbar0_eigen(OU, 1.0, grid_spec=measures.GridSpec(n=4097))
         assert abs(coarse - fine) <= max(10.0 * err, 1e-10)
+
+
+def _heston(ratio, rho, nu=1.0):
+    """sigma = sqrt(y) on the CIR factor with Feller ratio 2 m / nu^2."""
+    m = 0.5 * ratio * nu * nu
+    return ModelParams(m=m, nu=nu, beta=0.5, rho=rho, r=0.0,
+                       sigma=VolFnSpec.power_abs(1.0, 0.5), y0=m)
+
+
+class TestBracketSolve:
+    """The top eigenvalue is bisected inside the potential's bracket, to a
+    tolerance relative to the bracket, not to the matrix norm."""
+
+    @pytest.mark.parametrize("rho", [0.0, -0.5])
+    @pytest.mark.parametrize("ratio", [1.2, 1.5, 2.0, 3.0])
+    def test_heston_closed_form(self, ratio, rho):
+        # Feng, Forde & Fouque (2010): finite while (1 - rho p nu)^2 > nu^2 p^2
+        prm = _heston(ratio, rho)
+        for p in (-0.5, 0.3, 0.6, 0.9):
+            a = 1.0 - rho * p * prm.nu
+            assert a * a > (prm.nu * p) ** 2
+            exact = prm.m * (a - math.sqrt(a * a - (prm.nu * p) ** 2)) / prm.nu ** 2
+            val, err = ham.hbar0_eigen(prm, p)
+            assert abs(val - exact) <= err, (p, val, exact, err)
+
+    def test_solve_is_even_without_correlation(self):
+        for p in (0.25, 1.0, 2.0):
+            assert ham.hbar0_eigen(OU, p) == ham.hbar0_eigen(OU, -p)
+
+    def test_curve_solves_each_momentum_once_without_correlation(self, monkeypatch):
+        calls, real = [], ham.hbar0_eigen
+
+        def spy(params, p, **kw):
+            calls.append(p)
+            return real(params, p, **kw)
+
+        monkeypatch.setattr(ham, "hbar0_eigen", spy)
+        p_grid = np.linspace(-2.0, 2.0, 17)
+        curve = ham.build_curve(OU, p_grid)
+        assert sorted(calls) == list(p_grid[9:])
+        assert curve.values.tobytes() == curve.values[::-1].tobytes()
+        assert curve.errors.tobytes() == curve.errors[::-1].tobytes()
+        calls.clear()
+        ham.build_curve(replace(OU, rho=-0.5), p_grid)
+        assert len(calls) == 16
+
+    def test_coarse_solve_requests_no_eigenvector(self, monkeypatch):
+        sizes, real = [], ham.dstein
+
+        def spy(d, *args):
+            sizes.append(d.size)
+            return real(d, *args)
+
+        monkeypatch.setattr(ham, "dstein", spy)
+        spec = measures.GridSpec(n=1001)
+        ham.hbar0_eigen(OU, 1.0, grid_spec=spec)
+        assert sizes and set(sizes) == {1001}
+        lo, hi = measures._choose_window(OU, 1.0)
+        coarse = measures._make_grid(OU, lo, hi, 501)
+        assert ham._rayleigh_top(OU, 1.0, coarse, vector=False)[1] is None
+        assert set(sizes) == {1001}
+
+    @pytest.mark.parametrize("params", [
+        CONST, ModelParams(m=1.0, nu=1.0, beta=0.5, rho=-0.5, r=0.0,
+                           sigma=VolFnSpec.constant(0.3), y0=1.0)])
+    def test_constant_sigma_fills_its_degenerate_bracket(self, params):
+        # the bracket is the single point sigma0^2 p^2 / 2
+        for p in (-2.0, 0.5, 5.0):
+            exact = 0.5 * params.sigma.s0 ** 2 * p * p
+            val, _ = ham.hbar0_eigen(params, p)
+            assert val == pytest.approx(exact, rel=1e-9)
+
+    def test_zero_momentum(self):
+        # the bracket is [0, 0]: hbar0_eigen returns the normalization, and
+        # the bare solve names its empty bracket
+        assert ham.hbar0_eigen(OU, 0.0) == (0.0, 0.0)
+        lo, hi = measures._choose_window(OU, 0.0)
+        with pytest.raises(ResolutionError, match=r"bracket \[0\.0, 0\.0\]"):
+            ham._rayleigh_top(OU, 0.0, measures._make_grid(OU, lo, hi, 1001))
+
+    def test_empty_bracket_is_named(self):
+        d, e = np.array([1.0, 2.0, 3.0]), np.array([0.1, 0.1])
+        assert ham._top_eigen(d, e, 2.5, 3.5, False)[0] == pytest.approx(
+            3.0 + 0.01, abs=1e-3)
+        with pytest.raises(ResolutionError, match="no eigenvalue"):
+            ham._top_eigen(d, e, 4.0, 5.0, True)
+
+
+@pytest.mark.parametrize("p", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("call", [
+    lambda p: ham.hbar0_eigen(OU, p),
+    lambda p: ham.hbar0_mc(OU, p, 10.5, McConfig(paths=16)),
+    lambda p: measures.invariant_density(OU, p),
+    lambda p: poisson.solve_corrector(OU, p),
+], ids=["hbar0_eigen", "hbar0_mc", "invariant_density", "solve_corrector"])
+def test_momentum_must_be_finite(call, p):
+    with pytest.raises(ValidationError, match="p must be finite"):
+        call(p)
 
 
 class TestBuildCurve:
