@@ -371,11 +371,16 @@ TABULATED = ModelParams(
     m=0.0, nu=1.0, beta=0.0, rho=0.2, r=0.0, y0=0.0,
     sigma=VolFnSpec.tabulated([-2.0, -1.0, 0.0, 1.0, 2.0],
                               [0.4, 0.3, 0.2, 0.3, 0.45], 0.3))
-# a beta = 1/2 model on which the eigen curve misses discrete convexity
+# a beta = 1/2 model whose eigen curve missed discrete convexity while the
+# solve stopped at LAPACK's default tolerance
 CONVEXITY_GAP = ModelParams(
     m=1.314933138049224, nu=1.4755900355867957, beta=0.5, rho=0.0, r=0.0,
     sigma=VolFnSpec.power_abs(0.49121274943216464, 0.1260382966618113,
                               0.3977008325228026), y0=1.314933138049224)
+# a beta = 0.8 model whose density mass underflows the 1e-300 clamp, so an
+# inf or NaN reaches the eigensolver
+MASS_CLAMP = ModelParams(m=2.0, nu=0.3, beta=0.8, rho=0.2, r=0.0,
+                         sigma=VolFnSpec.constant(0.35), y0=2.0)
 P_EIGEN = np.linspace(-2.0, 2.0, 33)
 
 
@@ -385,11 +390,11 @@ def _eigen_curve(params):
 
 
 EIGEN_GOLDEN = {
-    "ou": (lambda: _eigen_curve(OU), "4f2711735f9a48d3"),
-    "cir": (lambda: _eigen_curve(CIR), "cf51e6f07959a7d7"),
-    "cir_rho": (lambda: _eigen_curve(replace(CIR, rho=-0.5)), "06fc762260d4029e"),
-    "power_abs_beta_075": (lambda: _eigen_curve(POWER_075), "1652d110f055d9f0"),
-    "tabulated": (lambda: _eigen_curve(TABULATED), "379b717799b4019f"),
+    "ou": (lambda: _eigen_curve(OU), "f52881135cf3c500"),
+    "cir": (lambda: _eigen_curve(CIR), "f5cfff1bde0c27f1"),
+    "cir_rho": (lambda: _eigen_curve(replace(CIR, rho=-0.5)), "852365c9d40e6213"),
+    "power_abs_beta_075": (lambda: _eigen_curve(POWER_075), "c1c13f8eb09f7d2c"),
+    "tabulated": (lambda: _eigen_curve(TABULATED), "95aafacae4fd4d82"),
 }
 
 
@@ -399,8 +404,13 @@ class TestEigenGoldens:
         run, expected = EIGEN_GOLDEN[name]
         assert run() == expected
 
+    def test_convexity_gap_model_is_convex(self):
+        curve = ham.build_curve(CONVEXITY_GAP, P_EIGEN, method="eigen")
+        assert np.min(np.diff(curve.values, 2)) > 0.0
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_raising_model_keeps_its_error(self):
-        with pytest.raises(ConvexityError) as info:
-            ham.build_curve(CONVEXITY_GAP, P_EIGEN, method="eigen")
-        assert str(info.value) == ("discrete convexity violated by 0.000895 "
-                                   "beyond 3x the error estimates")
+        with pytest.raises(ValueError) as info:
+            ham.build_curve(MASS_CLAMP, P_EIGEN, method="eigen")
+        assert type(info.value) is ValueError
+        assert str(info.value) == "array must not contain infs or NaNs"
