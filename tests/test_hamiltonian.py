@@ -22,15 +22,20 @@ CONST = ModelParams(m=0.0, nu=math.sqrt(2.0), beta=0.0, rho=0.0, r=0.0,
 class TestEigen:
     def test_constant_sigma_quadratic(self):
         # with sigma frozen the functional is deterministic:
-        # Hbar0(p) = sigma0^2 p^2 / 2 exactly
-        val, err = ham.hbar0_eigen(CONST, 2.0)
-        assert val == pytest.approx(0.5 * 0.04 * 4.0, abs=1e-9)
-        assert err < 1e-9
+        # Hbar0(p) = sigma0^2 p^2 / 2 exactly, and the potential's bracket
+        # is that single point
+        cir_const = ModelParams(m=1.0, nu=1.0, beta=0.5, rho=-0.5, r=0.0,
+                                sigma=VolFnSpec.constant(0.3), y0=1.0)
+        for params in (CONST, cir_const):
+            for p in (-2.0, 0.5, 2.0, 5.0):
+                val, err = ham.hbar0_eigen(params, p)
+                exact = 0.5 * params.sigma.s0 ** 2 * p * p
+                assert val == pytest.approx(exact, rel=1e-9)
+                assert err < 1e-9
 
     def test_symmetry_without_correlation(self):
-        vp, _ = ham.hbar0_eigen(OU, 1.0)
-        vm, _ = ham.hbar0_eigen(OU, -1.0)
-        assert vp == pytest.approx(vm, abs=1e-10)
+        for p in (0.25, 1.0, 2.0):
+            assert ham.hbar0_eigen(OU, p) == ham.hbar0_eigen(OU, -p)
 
     def test_dominates_averaged_variance_parabola(self):
         # the constant test function in the variational form gives the
@@ -68,10 +73,6 @@ class TestBracketSolve:
             val, err = ham.hbar0_eigen(prm, p)
             assert abs(val - exact) <= err, (p, val, exact, err)
 
-    def test_solve_is_even_without_correlation(self):
-        for p in (0.25, 1.0, 2.0):
-            assert ham.hbar0_eigen(OU, p) == ham.hbar0_eigen(OU, -p)
-
     def test_curve_solves_each_momentum_once_without_correlation(self, monkeypatch):
         calls, real = [], ham.hbar0_eigen
 
@@ -104,16 +105,6 @@ class TestBracketSolve:
         coarse = measures._make_grid(OU, lo, hi, 501)
         assert ham._rayleigh_top(OU, 1.0, coarse, vector=False)[1] is None
         assert set(sizes) == {1001}
-
-    @pytest.mark.parametrize("params", [
-        CONST, ModelParams(m=1.0, nu=1.0, beta=0.5, rho=-0.5, r=0.0,
-                           sigma=VolFnSpec.constant(0.3), y0=1.0)])
-    def test_constant_sigma_fills_its_degenerate_bracket(self, params):
-        # the bracket is the single point sigma0^2 p^2 / 2
-        for p in (-2.0, 0.5, 5.0):
-            exact = 0.5 * params.sigma.s0 ** 2 * p * p
-            val, _ = ham.hbar0_eigen(params, p)
-            assert val == pytest.approx(exact, rel=1e-9)
 
     def test_zero_momentum(self):
         # the bracket is [0, 0]: hbar0_eigen returns the normalization, and
