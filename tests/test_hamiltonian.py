@@ -8,8 +8,7 @@ import pytest
 
 from svasym import hamiltonian as ham
 from svasym import measures, poisson
-from svasym.errors import (ConvexityError, RangeError, ResolutionError,
-                           ValidationError)
+from svasym.errors import RangeError, ResolutionError, ValidationError
 from svasym.model import ModelParams, VolFnSpec
 from svasym.simulate import McConfig
 
@@ -50,13 +49,6 @@ class TestEigen:
         assert abs(coarse - fine) <= max(10.0 * err, 1e-10)
 
 
-def _heston(ratio, rho, nu=1.0):
-    """sigma = sqrt(y) on the CIR factor with Feller ratio 2 m / nu^2."""
-    m = 0.5 * ratio * nu * nu
-    return ModelParams(m=m, nu=nu, beta=0.5, rho=rho, r=0.0,
-                       sigma=VolFnSpec.power_abs(1.0, 0.5), y0=m)
-
-
 class TestBracketSolve:
     """The top eigenvalue is bisected inside the potential's bracket, to a
     tolerance relative to the bracket, not to the matrix norm."""
@@ -64,8 +56,10 @@ class TestBracketSolve:
     @pytest.mark.parametrize("rho", [0.0, -0.5])
     @pytest.mark.parametrize("ratio", [1.2, 1.5, 2.0, 3.0])
     def test_heston_closed_form(self, ratio, rho):
-        # Feng, Forde & Fouque (2010): finite while (1 - rho p nu)^2 > nu^2 p^2
-        prm = _heston(ratio, rho)
+        # Feng, Forde & Fouque (2010): sigma = sqrt(y) on the CIR factor
+        # with Feller ratio 2 m / nu^2; finite while (1 - rho p nu)^2 > nu^2 p^2
+        prm = ModelParams(m=0.5 * ratio, nu=1.0, beta=0.5, rho=rho, r=0.0,
+                          sigma=VolFnSpec.power_abs(1.0, 0.5), y0=0.5 * ratio)
         for p in (-0.5, 0.3, 0.6, 0.9):
             a = 1.0 - rho * p * prm.nu
             assert a * a > (prm.nu * p) ** 2
