@@ -230,22 +230,20 @@ def _digest(*parts) -> str:
     return h.hexdigest()[:16]
 
 
-def _xy(params, regime, eps, scheme):
-    mc = simulate.McConfig(paths=GOLDEN_PATHS, seed=101, scheme=scheme)
+def _xy(params, regime, eps):
+    mc = simulate.McConfig(paths=GOLDEN_PATHS, seed=101)
     b = simulate.simulate_xy(params, regime, eps, 0.05, mc)
-    return _digest(b.x, b.y, b.int_sigma_sq, b.int_sigma_dw,
-                   [b.truncated_fraction, b.n_steps, b.dt])
+    return _digest(b.x, b.y, [b.truncated_fraction, b.n_steps, b.dt])
 
 
-def _tilted(params, p, scheme="full_truncation", h=H_TABLE):
-    mc = simulate.McConfig(paths=GOLDEN_PATHS, steps_per_unit_time=100,
-                           seed=102, scheme=scheme)
+def _tilted(params, p, h=H_TABLE):
+    mc = simulate.McConfig(paths=GOLDEN_PATHS, steps_per_unit_time=100, seed=102)
     tb = simulate.simulate_tilted(params, 0.12, mc, p=p, h=h,
                                   y_start=params.y0 + 0.1, burn_in=0.03)
     return _digest(tb.y, tb.int_sigma_sq, tb.int_sigma_dw2, [tb.duration])
 
 
-def _ergodic(params, phi, p, h=H_TABLE):
+def _ergodic(params, phi):
     # ergodic_average's 8 batches: numpy sums 8 per-path batch values pairwise
     # along a contiguous row but in sequence along a strided one, so the
     # digest also pins the memory layout of the batch table
@@ -253,37 +251,28 @@ def _ergodic(params, phi, p, h=H_TABLE):
                            seed=103)
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
-        est = simulate.ergodic_average(params, phi, 0.2, mc, p=p, h=h)
+        est = simulate.ergodic_average(params, phi, 0.2, mc)
     n_warn = sum(issubclass(w.category, VarianceWarning) for w in caught)
     return _digest([est.value, est.stderr, n_warn])
 
 
 GOLDEN = {
-    "xy_ou_rho": (lambda: _xy(OU_RHO, Regime.FAST, 0.5, "full_truncation"),
-                  "1040c2bf400f449f"),
-    "xy_cir_full_truncation": (
-        lambda: _xy(CIR_TRUNC, Regime.FAST, 0.5, "full_truncation"),
-        "0bb34c14d22fdc74"),
-    "xy_cir_reflect": (lambda: _xy(CIR_TRUNC, Regime.FAST, 0.5, "reflect"),
-                       "bdb7473710ee2837"),
-    "xy_tabulated_beta": (
-        lambda: _xy(TAB_BETA, Regime.ULTRA_FAST, 0.8, "full_truncation"),
-        "a26cee8b824837e4"),
+    "xy_ou_rho": (lambda: _xy(OU_RHO, Regime.FAST, 0.5), "1d029c924a9ae6c2"),
+    "xy_cir_full_truncation": (lambda: _xy(CIR_TRUNC, Regime.FAST, 0.5),
+                               "695f92f00bbbebd7"),
+    "xy_tabulated_beta": (lambda: _xy(TAB_BETA, Regime.ULTRA_FAST, 0.8),
+                          "9557661dea3f0e81"),
     "tilted_ou": (lambda: _tilted(OU_RHO, 0.7), "22ded73d134963ed"),
     "tilted_cir": (lambda: _tilted(CIR_TRUNC, -1.0), "1c9753b49a6e1255"),
     # rho = 0 with p < 0 gives a -0.0 tilt factor and no h table
     "tilted_cir_untilted": (
         lambda: _tilted(replace(CIR_TRUNC, rho=0.0), -1.0, h=None),
         "5242db6a1cd17bfa"),
-    "tilted_tabulated_reflect": (lambda: _tilted(TAB_BETA, 0.5, "reflect"),
-                                 "8e816aaf3467e75d"),
-    "ergodic_ou": (lambda: _ergodic(OU_RHO, lambda y: np.abs(y), 0.6),
-                   "41ca9ffa2cc6a4d9"),
-    "ergodic_cir_untilted": (
-        lambda: _ergodic(CIR_TRUNC, lambda y: y, 0.0, h=None),
-        "f732b6e976c8b5d0"),
-    "ergodic_cir": (lambda: _ergodic(CIR_TRUNC, (H_GRID, H_GRID ** 2), 1.0),
-                    "f66c9ec8ab39a65a"),
+    "tilted_tabulated": (lambda: _tilted(TAB_BETA, 0.5), "8e816aaf3467e75d"),
+    "ergodic_ou": (lambda: _ergodic(OU_RHO, lambda y: np.abs(y)),
+                   "17daf008593a38da"),
+    "ergodic_cir_untilted": (lambda: _ergodic(CIR_TRUNC, lambda y: y),
+                             "f732b6e976c8b5d0"),
 }
 
 
