@@ -194,12 +194,6 @@ class TestConjugacy:
         assert np.max(np.abs(x_star - q / a)) < 1e-3
         assert set(flags) == {"interior"}
 
-    def test_range_error_without_extrapolation(self):
-        x = np.linspace(-1, 1, 101)
-        f = 0.5 * x ** 2
-        with pytest.raises(RangeError):
-            ham.conjugate(x, f, [5.0], extrapolate=False)
-
     def test_edge_slope_flagged_extrapolated(self):
         x = np.linspace(-1, 1, 101)
         f = 0.5 * x ** 2
@@ -327,12 +321,6 @@ class TestTransformGoldens:
             assert got[0].tobytes() == ref[0].tobytes()
             assert got[1].tobytes() == ref[1].tobytes()
             assert got[2] == ref[2]
-
-    def test_first_edge_q_is_named(self):
-        x = np.linspace(-1, 1, 101)
-        with pytest.raises(RangeError, match=r"^q = 5\.0 is outside"):
-            ham.conjugate(x, 0.5 * x ** 2, [0.0, 0.3, 5.0, -3.0, 0.1],
-                          extrapolate=False)
 
     def test_degenerate_triple_takes_the_sample(self):
         # the triple's differences underflow, so the parabola through it is

@@ -79,8 +79,10 @@ class TestSolveCorrector:
         assert edges(cor)[1] == pytest.approx(edges(auto)[1])
 
     def test_centering_guard(self):
+        # a window of +-1 sd about m misses most of E|Y|'s mass, so its grid
+        # average of sigma^2 = |y| is far from the converged sqrt(2/pi)
         with pytest.raises(CenteringError):
-            poisson.solve_corrector(OU, 1.0, sigma_bar=0.9)
+            poisson.solve_corrector(OU, 1.0, measures.GridSpec(y_lo=-1.0, y_hi=1.0))
 
     def test_csv_format(self, tmp_path, ou_corrector):
         path = tmp_path / "poisson.csv"

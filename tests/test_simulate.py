@@ -163,9 +163,9 @@ class TestTiltedAndErgodic:
         c = 0.3
         grid = np.linspace(-10, 10, 2001)
         mc = simulate.McConfig(paths=3_000, seed=17)
-        est = simulate.ergodic_average(OU, lambda y: y, 30.0, mc,
-                                       h=(grid, c * grid))
-        assert est.value == pytest.approx(2 * c, abs=5 * max(est.stderr, 1e-4))
+        tb = simulate.simulate_tilted(OU, 30.0, mc, h=(grid, c * grid))
+        se = 1.0 / math.sqrt(mc.paths)  # the shifted law keeps variance 1
+        assert np.mean(tb.y) == pytest.approx(2 * c, abs=5 * se)
 
     def test_non_finite_state_raises(self):
         # sigma grows like |y|^3 beyond the table, so the tilt drift
@@ -176,9 +176,10 @@ class TestTiltedAndErgodic:
         mc = simulate.McConfig(paths=100, seed=1)
         with np.errstate(over="ignore", invalid="ignore"):
             with pytest.raises(StabilityError):
-                simulate.ergodic_average(params, lambda y: y, 1.0, mc, p=50.0)
-            with pytest.raises(StabilityError):
                 simulate.simulate_tilted(params, 1.0, mc, p=50.0)
+        # a finite state, but phi overflows the batch sums
+        with pytest.raises(StabilityError):
+            simulate.ergodic_average(OU, lambda y: np.full_like(y, np.inf), 1.0, mc)
 
     def test_burn_in_bounds(self):
         mc = simulate.McConfig(paths=10)

@@ -74,7 +74,7 @@ class TestLdpTail:
             with pytest.raises(ValidationError):
                 verify.ldp_tail(params, Regime.ULTRA_FAST, 0.1, 1.0, eps_seq,
                                 simulate.McConfig(paths=10, seed=seed),
-                                predicted=-1.0)
+                                sigma_bar_sq=0.8)
 
     def test_constant_sigma_is_the_closed_form(self):
         # X_t is exactly N(x0 - eps s0^2 t / 2, eps s0^2 t) whatever the
@@ -96,11 +96,11 @@ class TestLdpTail:
         params = verify.fixture_ou()
         mc = simulate.McConfig(paths=2_000, seed=7)
         a = verify.ldp_tail(params, Regime.ULTRA_FAST, 0.3, 1.0, (0.6, 0.5),
-                            mc, predicted=-1.0)
+                            mc, sigma_bar_sq=0.8)
         b = verify.ldp_tail(params, Regime.ULTRA_FAST, 0.3, 1.0, (0.5,),
-                            replace(mc, seed=8), predicted=-1.0)
+                            replace(mc, seed=8), sigma_bar_sq=0.8)
         again = verify.ldp_tail(params, Regime.ULTRA_FAST, 0.3, 1.0, (0.6, 0.5),
-                                mc, predicted=-1.0)
+                                mc, sigma_bar_sq=0.8)
         assert a.points[1].p_hat != b.points[0].p_hat
         assert a.to_json() == again.to_json()
 
@@ -144,7 +144,17 @@ def test_conditional_tail_matches_raw_hit_count(name):
     # resolve, the two estimates agree within 3 combined standard errors
     params, regime, x, eps_seq, spu = ORACLE_CASES[name]
     mc = simulate.McConfig(paths=20_000, steps_per_unit_time=spu, seed=11)
-    report = verify.ldp_tail(params, regime, x, 1.0, eps_seq, mc, predicted=-1.0)
+    # the verdict is not under test: the prediction's ingredient is the
+    # averaged variance, or the Legendre curve of its quadratic Hamiltonian
+    sbar2 = measures.sigma_bar_sq(params)
+    if regime is Regime.ULTRA_FAST:
+        rate = {"sigma_bar_sq": sbar2}
+    else:
+        p = np.linspace(-4.0, 4.0, 81)
+        curve = ham.HamiltonianCurve(p_grid=p, values=0.5 * sbar2 * p * p,
+                                     method="closed-form", errors=np.zeros_like(p))
+        rate = {"legendre": ham.legendre(curve, np.linspace(-1.0, 1.0, 201))}
+    report = verify.ldp_tail(params, regime, x, 1.0, eps_seq, mc, **rate)
     resolved = 0
     for q in report.points:
         raw = simulate.simulate_xy(params, regime, q.eps, 1.0, replace(mc, seed=12))
