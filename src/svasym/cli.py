@@ -87,7 +87,6 @@ _RUN_KEYS = (
     ("mc.paths", "mc.paths", _int),
     ("mc.steps_per_unit_time", "mc.steps_per_unit_time", _int),
     ("mc.seed", "mc.seed", _int),
-    ("mc.scheme", "mc.scheme", str),
     ("grid.n", "grid.n", _int),
     ("grid.y_lo", "grid.y_lo", float),
     ("grid.y_hi", "grid.y_hi", float),

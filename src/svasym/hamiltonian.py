@@ -357,15 +357,13 @@ def _sup_refined(x: np.ndarray, rows, m: int):
     return edge, value, vertex
 
 
-def conjugate(x_grid: np.ndarray, f_values: np.ndarray, q_grid: Sequence[float],
-              *, extrapolate: bool = True):
+def conjugate(x_grid: np.ndarray, f_values: np.ndarray, q_grid: Sequence[float]):
     """Pointwise convex conjugate sup_x (q x - f(x)) over a sampled f.
 
     The sup is one vectorized scan per block of q (see _sup_refined),
     refined by a parabolic fit through each argmax triple.  Boundary q
     beyond f's sampled slope range are handled by the supporting line at
-    the edge sample and flagged "extrapolated" (or raise RangeError naming
-    the first such q when extrapolation is disabled).
+    the edge sample and flagged "extrapolated".
     Returns (values, x_star, flags).
     """
     x_grid = np.asarray(x_grid, dtype=float)
@@ -373,9 +371,6 @@ def conjugate(x_grid: np.ndarray, f_values: np.ndarray, q_grid: Sequence[float],
     q_grid = np.asarray(q_grid, dtype=float)
     edge, out, x_star = _sup_refined(
         x_grid, lambda s: q_grid[s, None] * x_grid - f_values, q_grid.size)
-    if not extrapolate and edge.any():
-        raise RangeError(f"q = {q_grid[np.argmax(edge)]} is outside the "
-                         "sampled slope range of the curve")
     flags = np.array(("interior", "extrapolated"), dtype=object)[edge.astype(int)]
     return out, x_star, tuple(flags)
 

@@ -78,8 +78,7 @@ def _cumtrapz(f: np.ndarray, y: np.ndarray) -> np.ndarray:
 
 
 def solve_corrector(params: ModelParams, p: float,
-                    grid_spec: Optional[GridSpec] = None,
-                    sigma_bar: Optional[float] = None) -> Corrector:
+                    grid_spec: Optional[GridSpec] = None) -> Corrector:
     """Solve the centered Poisson equation for chi on an auto-chosen window.
 
     The averaged variance used in the right-hand side is recomputed by
@@ -87,8 +86,8 @@ def solve_corrector(params: ModelParams, p: float,
     to machine precision on the grid and the left- and right-anchored
     representations of chi' agree.  A CenteringError is raised when that
     value disagrees with the independently converged averaged variance
-    (``sigma_bar`` if supplied) beyond 1e-5 — the signal of an inconsistent
-    window or tolerance.
+    (``sigma_bar_sq``) beyond 1e-5 — the signal of an inconsistent window or
+    tolerance.
 
     The automatic window is the invariant law's (``_choose_window``) for
     beta != 0.  For beta = 0 it is the start window unexpanded, six standard
@@ -110,7 +109,7 @@ def solve_corrector(params: ModelParams, p: float,
 
     sig_sq = sigma_eval(params.sigma, y_fine, beta=params.beta) ** 2
     sbar_grid = fine.quad(sig_sq)
-    sbar_ref = sigma_bar if sigma_bar is not None else sigma_bar_sq(params)
+    sbar_ref = sigma_bar_sq(params)
     if abs(sbar_ref - sbar_grid) > CENTERING_TOL:
         raise CenteringError(
             f"grid average of sigma^2 ({sbar_grid!r}) disagrees with the "

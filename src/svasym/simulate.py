@@ -36,7 +36,6 @@ from .errors import StabilityError, ValidationError, VarianceWarning
 from .model import ModelParams, Regime, _check_time, _sigma_into, _write_csv
 
 BLOCK_PATHS = 65536
-SCHEMES = ("full_truncation", "reflect")
 
 
 @dataclass(frozen=True)
@@ -44,7 +43,6 @@ class McConfig:
     paths: int = 10_000
     steps_per_unit_time: int = 100
     seed: int = 42
-    scheme: str = "full_truncation"
 
 
 @dataclass(frozen=True)
@@ -58,12 +56,10 @@ class McEstimate:
 
 @dataclass(frozen=True)
 class PathBatch:
-    """Terminal values and pathwise time-integral accumulators."""
+    """Terminal values of the coupled system."""
 
     x: np.ndarray
     y: np.ndarray
-    int_sigma_sq: np.ndarray   # int_0^t sigma^2(Y_s) ds
-    int_sigma_dw: np.ndarray   # int_0^t sigma(Y_s) dW1_s
     truncated_fraction: float
     seed: int
     n_steps: int
@@ -148,8 +144,6 @@ def _check_mc(params: ModelParams, mc: McConfig) -> None:
         raise ValidationError("paths must be >= 1")
     if not 0 <= mc.seed < 2 ** 64:
         raise ValidationError(f"seed must lie in [0, 2^64), got {mc.seed}")
-    if mc.scheme not in SCHEMES:
-        raise ValidationError(f"unknown scheme {mc.scheme!r}; choose from {SCHEMES}")
     if params.beta != 0.0 and mc.steps_per_unit_time < 100:
         raise ValidationError(
             "steps_per_unit_time must be >= 100 when beta is in [1/2, 1) "
@@ -163,7 +157,7 @@ class _FactorStepper:
     ``correlated``, else W2 alone), clamps the state into ``yp``, yields to
     the caller's accumulators, then advances ``y``.  beta = 0 uses the exact
     linear propagator (exponential integrator), so the marginal law is exact
-    for every step size; beta >= 1/2 uses the chosen positivity scheme with
+    for every step size; beta >= 1/2 uses full-truncation Euler, with the
     coefficients frozen at the positive part.  ``tilt`` = rho p adds the
     drift rho p sigma(y) nu |y|^beta and an ``h`` table (grid, h') the
     Girsanov shift nu^2 |y|^{2 beta} h'(y); a zero tilt is skipped.  Every
@@ -172,10 +166,10 @@ class _FactorStepper:
     """
 
     def __init__(self, params: ModelParams, rng: np.random.Generator, n: int,
-                 y0: float, lam: float, dt: float, scheme: str, *,
+                 y0: float, lam: float, dt: float, *,
                  correlated: bool = False, tilt: float = 0.0, h=None):
         self.params, self.rng, self.lam, self.dt = params, rng, lam, dt
-        self.reflect, self.tilt, self.h = scheme == "reflect", tilt, h
+        self.tilt, self.h = tilt, h
         self.truncated = 0
         self.w = np.empty((2 if correlated else 1, n))
         self.y = np.full(n, y0)
@@ -263,8 +257,6 @@ class _FactorStepper:
         ypb *= w2
         y += ypb
         self.truncated += int(np.count_nonzero(y < 0.0))
-        if self.reflect:
-            np.abs(y, out=y)
 
 
 def simulate_xy(params: ModelParams, regime: Regime, eps: float, t: float,
@@ -282,22 +274,18 @@ def simulate_xy(params: ModelParams, regime: Regime, eps: float, t: float,
     sq_dt = math.sqrt(dt)
 
     def run(rng: np.random.Generator, n: int):
-        st = _FactorStepper(params, rng, n, params.y0, lam, dt, mc.scheme, correlated=True)
-        x, iss, isw = np.full(n, params.x0), np.zeros(n), np.zeros(n)
+        st = _FactorStepper(params, rng, n, params.y0, lam, dt, correlated=True)
+        x = np.full(n, params.x0)
         w1 = st.w[0]
         for _ in st.steps(n_steps):
             sig = st.sigma()
-            sig_sq = sig * sig
             dw1 = sq_dt * w1
-            x += eps * (params.r - 0.5 * sig_sq) * dt + math.sqrt(eps) * sig * dw1
-            iss += sig_sq * dt
-            isw += sig * dw1
-        return x, st.terminal(x), iss, isw, st.truncated
+            x += eps * (params.r - 0.5 * (sig * sig)) * dt + math.sqrt(eps) * sig * dw1
+        return x, st.terminal(x), st.truncated
 
-    parts = _map_blocks(mc.paths, mc.seed, run)
-    x, y, iss, isw = (np.concatenate(col) for col in list(zip(*parts))[:4])
-    return PathBatch(x=x, y=y, int_sigma_sq=iss, int_sigma_dw=isw,
-                     truncated_fraction=sum(p[4] for p in parts) / (mc.paths * n_steps),
+    x, y, truncated = zip(*_map_blocks(mc.paths, mc.seed, run))
+    return PathBatch(x=np.concatenate(x), y=np.concatenate(y),
+                     truncated_fraction=sum(truncated) / (mc.paths * n_steps),
                      seed=mc.seed, n_steps=n_steps, dt=dt)
 
 
@@ -317,7 +305,7 @@ def _tilted_loop(params: ModelParams, T: float, mc: McConfig, p: float, h,
         grid = np.asarray(h[0], dtype=float)
         h = (grid, np.gradient(np.asarray(h[1], dtype=float), grid))
     return n_steps, dt, int(round(burn_in / dt)), lambda rng, n: _FactorStepper(
-        params, rng, n, y0, 1.0, dt, mc.scheme, tilt=params.rho * p, h=h)
+        params, rng, n, y0, 1.0, dt, tilt=params.rho * p, h=h)
 
 
 def simulate_tilted(params: ModelParams, T: float, mc: McConfig, *,
@@ -349,25 +337,19 @@ def simulate_tilted(params: ModelParams, T: float, mc: McConfig, *,
                        duration=T - burn_steps * dt, seed=mc.seed)
 
 
-def ergodic_average(params: ModelParams, phi, T: float, mc: McConfig, *,
-                    p: float = 0.0, h=None) -> McEstimate:
-    """Long-run time average of phi(Y_s) across paths.
+def ergodic_average(params: ModelParams, phi: Callable[[np.ndarray], np.ndarray],
+                    T: float, mc: McConfig) -> McEstimate:
+    """Long-run time average of phi(Y_s) across paths of the untilted factor.
 
     Each path starts at ``params.y0``, discards a burn-in of T/10 and
-    averages over the rest of [0, T].  ``phi`` is a callable on arrays or a
-    (grid, values) table.  The standard error is taken across independent
-    paths; a VarianceWarning is issued when consecutive ones of its 8
-    within-path time batches remain correlated (batch length shorter than
-    the mixing time).  A non-finite state or batch sum raises
-    StabilityError.
+    averages phi, a callable on arrays, over the rest of [0, T].  The
+    standard error is taken across independent paths; a VarianceWarning is
+    issued when consecutive ones of its 8 within-path time batches remain
+    correlated (batch length shorter than the mixing time).  A non-finite
+    state or batch sum raises StabilityError.
     """
     n_batches = 8
-    if callable(phi):
-        phi_fn = phi
-    else:
-        g, v = np.asarray(phi[0], dtype=float), np.asarray(phi[1], dtype=float)
-        phi_fn = lambda yy: np.interp(yy, g, v)
-    n_steps, dt, burn_steps, stepper = _tilted_loop(params, T, mc, p, h, None, T / 10.0)
+    n_steps, dt, burn_steps, stepper = _tilted_loop(params, T, mc, 0.0, None, None, T / 10.0)
     acc_steps = n_steps - burn_steps
 
     def run(rng: np.random.Generator, n: int):
@@ -376,7 +358,7 @@ def ergodic_average(params: ModelParams, phi, T: float, mc: McConfig, *,
         for k in st.steps(n_steps):
             if k >= burn_steps:
                 b = min((k - burn_steps) * n_batches // acc_steps, n_batches - 1)
-                batches[b] += phi_fn(st.yp)
+                batches[b] += phi(st.yp)
         st.terminal(batches)
         return batches
 

@@ -129,7 +129,6 @@ def _log_tail(params: ModelParams, regime: Regime, eps: float, t: float,
 
 def ldp_tail(params: ModelParams, regime: Regime, x: float, t: float,
              eps_sequence: Sequence[float], mc: simulate.McConfig, *,
-             predicted: Optional[float] = None,
              sigma_bar_sq: Optional[float] = None,
              legendre=None) -> LdpReport:
     """Estimate eps * log P(X > x) (or < x below the start) by conditional MC.
@@ -141,8 +140,9 @@ def ldp_tail(params: ModelParams, regime: Regime, x: float, t: float,
     SFC64 block streams, from sub-stream k of ``mc.seed``
     (``simulate.substream_seed``).
     The verdict is PASS when the estimates trend monotonically toward the
-    predicted limit (Spearman sign test) and the final point lies within
-    max(15% relative, its CI width) of the prediction.
+    predicted limit -I_r(x), from the regime's ingredient (``sigma_bar_sq``
+    for r = 4, ``legendre`` for r = 2), by a Spearman sign test, and the
+    final point lies within max(15% relative, its CI width) of it.
     """
     if x == params.x0:
         raise ValidationError("the tail target x must differ from x0")
@@ -154,8 +154,7 @@ def ldp_tail(params: ModelParams, regime: Regime, x: float, t: float,
         raise ValidationError("eps must lie in (0, 1]")
     _check_time(t)
     upper = x > params.x0
-    if predicted is None:
-        predicted = -rates._rate(regime, x, params.x0, t, sigma_bar_sq, legendre)
+    predicted = -rates._rate(regime, x, params.x0, t, sigma_bar_sq, legendre)
 
     points = []
     for k, eps in enumerate(eps_sequence):

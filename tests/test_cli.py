@@ -250,9 +250,11 @@ class TestDispatch:
         assert raw[:8] == b"SVABIN1\x00"
 
     def test_unknown_key_exit_code(self, tmp_path):
+        # a typo, and mc.scheme: full truncation is the only scheme
         path = tmp_path / "bad.cfg"
-        path.write_text(BS_CFG + "sigm.kind = constant\n", encoding="utf-8")
-        assert cli.dispatch(["validate", "--config", str(path)]) == 2
+        for line in ("sigm.kind = constant", "mc.scheme = reflect"):
+            path.write_text(BS_CFG + line + "\n", encoding="utf-8")
+            assert cli.dispatch(["validate", "--config", str(path)]) == 2
 
     def test_usage_error_exit_code(self, cfg_path):
         assert cli.dispatch(["frobnicate", "--config", cfg_path]) == 2

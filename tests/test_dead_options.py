@@ -1,7 +1,7 @@
 """Dead-option guard: every defaulted parameter of a package function is
-passed, by keyword or by position, at some call in src/, tests/ or
-perfbench/.  A parameter that no call sets has one value in use, so it
-belongs in a constant.
+passed, by keyword or by position, at some call in src/ or perfbench/.
+A parameter that no production call sets has one value in use, so it
+belongs in a constant; a test that sets it does not keep it alive.
 
 A call counts for every function of the called name (plain or attribute).
 One with ``*args`` passes every positional parameter.  A ``**`` operand
@@ -22,10 +22,20 @@ import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = ROOT / "src" / "svasym"
-SOURCES = (ROOT / "src", ROOT / "tests", ROOT / "perfbench")
+SOURCES = (ROOT / "src", ROOT / "perfbench")
 
-# (module, function, parameter): reason it stays with no call setting it
-EXEMPT = {}
+# (module, function, parameter): reason it stays with no production call
+# setting it
+EXEMPT = {
+    ("simulate", "simulate_tilted", "h"):
+        "the Girsanov drift that corrector-guided sampling of the Monte Carlo "
+        "Hamiltonian (ROADMAP open items) will set",
+    ("rates", "lax_solution", "sigma_bar_sq"):
+        "the r = 4 closed form that the test of the fast regime's clamped "
+        "Hopf-Lax cost compares against (ROADMAP open items)",
+    ("rates", "atm_conjecture_probe", "target"):
+        "the probe is slated for deletion (ROADMAP open items)",
+}
 
 
 def _parse(path: Path) -> ast.Module:
@@ -213,6 +223,17 @@ def test_every_defaulted_parameter_is_set_by_a_call(module, passed):
             if (module, fn, param) not in EXEMPT]
     assert not dead, (f"svasym.{module} has defaulted parameters no call "
                       f"sets (make each a constant): {dead}")
+
+
+@pytest.mark.parametrize("entry", sorted(EXEMPT))
+def test_exempt_entry_names_an_unset_parameter(entry, passed):
+    # an entry stays only while its parameter exists and no production
+    # call sets it
+    module, fn, param = entry
+    dead = _dead_options(_parse(PACKAGE / f"{module}.py"), passed)
+    assert (fn, param) in dead, (
+        f"EXEMPT names svasym.{module}.{fn}({param}=), which is gone or now "
+        "set by a production call: drop the entry")
 
 
 def test_guard_sees_each_way_of_passing():
