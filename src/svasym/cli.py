@@ -67,6 +67,14 @@ def _int(raw: str) -> int:
         raise
 
 
+def _count(raw: str) -> int:
+    """A grid size: an integer >= 3."""
+    n = _int(raw)
+    if n < 3:
+        raise ValueError(f"a count must be >= 3, got {n}")
+    return n
+
+
 def _floats(raw: str) -> tuple:
     if not raw:
         raise ValueError("empty sequence")
@@ -87,17 +95,17 @@ _RUN_KEYS = (
     ("mc.paths", "mc.paths", _int),
     ("mc.steps_per_unit_time", "mc.steps_per_unit_time", _int),
     ("mc.seed", "mc.seed", _int),
-    ("grid.n", "grid.n", _int),
+    ("grid.n", "grid.n", _count),
     ("grid.y_lo", "grid.y_lo", float),
     ("grid.y_hi", "grid.y_hi", float),
     ("p_grid.max", "p_grid_max", float),
-    ("p_grid.count", "p_grid_count", _int),
+    ("p_grid.count", "p_grid_count", _count),
     ("x_grid.min", "x_grid_min", float),
     ("x_grid.max", "x_grid_max", float),
-    ("x_grid.count", "x_grid_count", _int),
+    ("x_grid.count", "x_grid_count", _count),
     ("logK_grid.min", "logk_min", float),
     ("logK_grid.max", "logk_max", float),
-    ("logK_grid.count", "logk_count", _int),
+    ("logK_grid.count", "logk_count", _count),
 )
 KNOWN_KEYS = MODEL_KEYS | {key for key, _, _ in _RUN_KEYS}
 # The override flag of each run key that has one: the flag's text converts,
@@ -356,3 +364,7 @@ def dispatch(argv) -> int:
 
 def main() -> None:
     sys.exit(dispatch(sys.argv[1:]))
+
+
+if __name__ == "__main__":
+    main()

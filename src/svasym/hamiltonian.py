@@ -180,9 +180,9 @@ def _rayleigh_top(params: ModelParams, p: float, y: np.ndarray,
     top, vec = _top_eigen(d, e, lo, float(np.max(v)), vector)
     if vec is None:
         return top, None
-    phi = vec / np.sqrt(mass)  # back to function values
-    weight = phi * phi * mass
-    weight /= weight.sum()
+    # vec is sqrt(mass) phi with unit norm, so vec^2 is phi's normalized
+    # mass-weighted square
+    weight = vec * vec
     edge = max(int(round(0.05 * n)), 2)
     edge_mass = float(weight[:edge].sum() + weight[-edge:].sum())
     return top, edge_mass

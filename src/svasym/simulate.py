@@ -142,6 +142,8 @@ def _map_blocks(n_paths: int, seed: int, fn: Callable[[np.random.Generator, int]
 def _check_mc(params: ModelParams, mc: McConfig) -> None:
     if mc.paths < 1:
         raise ValidationError("paths must be >= 1")
+    if mc.steps_per_unit_time < 1:
+        raise ValidationError("steps_per_unit_time must be >= 1")
     if not 0 <= mc.seed < 2 ** 64:
         raise ValidationError(f"seed must lie in [0, 2^64), got {mc.seed}")
     if params.beta != 0.0 and mc.steps_per_unit_time < 100:

@@ -1,9 +1,14 @@
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import svasym
 from svasym import cli, hamiltonian, measures, poisson, rates, simulate
 from svasym.errors import ParseError, UnknownKeyError
 from svasym.model import ModelParams, Regime, VolFnSpec
@@ -366,3 +371,46 @@ class TestBadMomentum:
                              f"--p={p}"]) == 1
         assert capsys.readouterr().err.startswith("error: p must be finite")
         assert not out.exists() or not any(out.iterdir())
+
+
+class TestBadCount:
+    """A grid count that is not an integer >= 3 is a config-syntax error
+    naming its key (exit code 2); a step count below 1 is a validation
+    error (exit code 1).  Neither ends in a traceback."""
+
+    @pytest.mark.parametrize("value", ["-1", "0", "1", "2"])
+    @pytest.mark.parametrize("key", ["grid.n", "p_grid.count", "x_grid.count",
+                                     "logK_grid.count"])
+    def test_grid_count_exits_2(self, key, value, tmp_path, capsys):
+        text, _ = _with_line(f"{key} = {value}")
+        path = tmp_path / "count.cfg"
+        path.write_text(text, encoding="utf-8")
+        out = tmp_path / "out"
+        assert cli.dispatch(["smile", "--config", str(path), "--out", str(out),
+                             "--regime", "2"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: line ")
+        assert f"bad value for '{key}': a count must be >= 3, got {value}" in err
+        assert not out.exists()
+
+    def test_zero_steps_per_unit_time_exits_1(self, tmp_path, capsys):
+        text, _ = _with_line("mc.steps_per_unit_time = 0")
+        path = tmp_path / "steps.cfg"
+        path.write_text(text, encoding="utf-8")
+        assert cli.dispatch(["simulate", "--config", str(path),
+                             "--out", str(tmp_path / "out")]) == 1
+        assert capsys.readouterr().err == (
+            "error: steps_per_unit_time must be >= 1\n")
+
+
+def test_module_entry_point_runs_the_command(tmp_path):
+    # python -m svasym.cli dispatches like the svasym script
+    src = str(Path(svasym.__file__).resolve().parent.parent)
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    done = subprocess.run(
+        [sys.executable, "-m", "svasym.cli", "validate",
+         "--config", str(tmp_path / "absent.cfg")],
+        env=env, capture_output=True, text=True, timeout=120)
+    assert done.returncode == 1
+    assert done.stderr.startswith("error: ")

@@ -88,6 +88,10 @@ class TestSimulateXY:
             simulate.simulate_xy(
                 CIR, Regime.FAST, 0.5, 1.0,
                 simulate.McConfig(paths=10, steps_per_unit_time=50))
+        with pytest.raises(ValidationError):
+            simulate.simulate_xy(
+                OU, Regime.FAST, 0.5, 1.0,
+                simulate.McConfig(paths=10, steps_per_unit_time=0))
         for seed in (-1, 2 ** 64):
             with pytest.raises(ValidationError):
                 simulate.simulate_xy(OU, Regime.FAST, 0.5, 1.0,
