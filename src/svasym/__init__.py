@@ -8,17 +8,13 @@ from .errors import (ATMWarning, CenteringError, ConvexityError, DomainError,
                      RangeError, ResolutionError, SvasymError, StabilityError,
                      TruncationError, UnknownKeyError, ValidationError,
                      VarianceWarning)
-from .model import (BoundaryClass, ModelParams, Regime, VolFnSpec,
-                    boundary_classification, from_doc, sigma_eval, to_doc,
-                    validate)
-from .measures import (DensityTable, GridSpec, dirichlet_form,
-                       invariant_density, reversibility_check, scale_density,
-                       sigma_bar_sq)
+from .model import (ModelParams, Regime, VolFnSpec, from_doc, sigma_eval,
+                    to_doc, validate)
+from .measures import DensityTable, GridSpec, invariant_density, sigma_bar_sq
 from .poisson import Corrector, growth_bound_check, solve_corrector
 from .hamiltonian import (HamiltonianCurve, LegendreCurve, build_curve,
                           hbar0_eigen, hbar0_mc, legendre)
-from .rates import (RateCurve, SmileCurve, atm_conjecture_probe,
-                    implied_vol_curve, lax_solution,
+from .rates import (RateCurve, SmileCurve, implied_vol_curve, lax_solution,
                     option_price_log_asymptote, rate_curve, rate_i2, rate_i4)
 from .simulate import (McConfig, McEstimate, PathBatch, ergodic_average,
                        moment_check, simulate_tilted, simulate_xy)

@@ -207,6 +207,14 @@ def _rate_ingredient(cfg: RunConfig) -> dict:
     return {"legendre": ham.legendre(curve, q_needed)}
 
 
+def _check_model(model: ModelParams) -> None:
+    """ValidationError naming each clause of ``validate`` that fails."""
+    failed = [f"clause {c.clause!r}: {c.message}" for c in validate(model)
+              if not c.passed]
+    if failed:
+        raise ValidationError("model fails " + "; ".join(failed))
+
+
 def _cmd_validate(cfg: RunConfig, out: str) -> int:
     report = validate(cfg.model)
     payload = {"passed": report.passed,
@@ -350,6 +358,8 @@ def dispatch(argv) -> int:
             raw = getattr(args, key, None)  # only a flag's key is an attribute
             if raw is not None:
                 cfg = _with(cfg, attr, _convert(_FLAGS[key], conv, raw))
+        if args.command != "validate":
+            _check_model(cfg.model)
         os.makedirs(args.out, exist_ok=True)
         if args.command == "simulate":
             return _COMMANDS[args.command](cfg, args.out, raw=args.raw)

@@ -207,7 +207,7 @@ def hbar0_eigen(params: ModelParams, p: float, *,
     if p == 0.0:
         return 0.0, 0.0
     spec = grid_spec or GridSpec()
-    y_lo, y_hi = _resolve_window(spec, lambda: _choose_window(params, p))
+    y_lo, y_hi = _resolve_window(params, spec, lambda: _choose_window(params, p))
 
     n = spec.n if spec.n % 2 == 1 else spec.n + 1
     for _ in range(MAX_WINDOW_GROWTH):

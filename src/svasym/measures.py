@@ -1,4 +1,4 @@
-"""Scale/speed densities, invariant laws, averaged volatility, Dirichlet form.
+"""Speed densities, invariant laws, averaged volatility, tilted generator.
 
 For the (possibly tilted) factor process with drift
 mu_p(y) = (m - y) + rho p sigma(y) nu |y|^beta the classical 1-D pair is
@@ -17,9 +17,9 @@ from dataclasses import dataclass
 from typing import Callable, Optional, Tuple
 
 import numpy as np
-from scipy.integrate import quad, trapezoid
+from scipy.integrate import trapezoid
 
-from .errors import DomainError, GridMismatchError, TruncationError
+from .errors import GridMismatchError, TruncationError, ValidationError
 from .model import (ModelParams, _check_momentum, _write_csv,
                     scale_log_integrand, sigma_eval)
 
@@ -59,17 +59,6 @@ class DensityTable:
 
     def to_csv(self, path) -> None:
         _write_csv(path, ("y", "density"), (self.grid, self.values))
-
-
-def scale_density(params: ModelParams, p, y) -> float:
-    """s_p(y), by adaptive quadrature anchored at y = 1 (so s_p(1) = 1)."""
-    pv = float(p)
-    y = float(y)
-    if not bool(params.in_state_space(y)):
-        raise DomainError(f"y = {y} outside the state space")
-    integrand = lambda z: float(scale_log_integrand(params, z, pv))
-    val, _ = quad(integrand, 1.0, y, limit=200)
-    return math.exp(-val)
 
 
 def _cumulative_simpson(f: Callable[[np.ndarray], np.ndarray], y: np.ndarray) -> np.ndarray:
@@ -152,15 +141,24 @@ def _choose_window(params: ModelParams, pv: float):
     raise TruncationError("window expansion failed to capture the invariant mass")
 
 
-def _resolve_window(spec: GridSpec, auto: Callable[[], Tuple[float, float]]):
+def _resolve_window(params: ModelParams, spec: GridSpec,
+                    auto: Callable[[], Tuple[float, float]]):
     """The window (y_lo, y_hi) of ``spec``: each bound it sets, and the
     ``auto()`` window's bound for each it leaves unset (auto is called
-    only then)."""
-    if spec.y_lo is not None and spec.y_hi is not None:
-        return spec.y_lo, spec.y_hi
-    y_lo, y_hi = auto()
-    return (y_lo if spec.y_lo is None else spec.y_lo,
-            y_hi if spec.y_hi is None else spec.y_hi)
+    only then).  ValidationError naming the keys if a set bound lies
+    outside the state space, or if the window is empty."""
+    given = {key: bound for key, bound in (("grid.y_lo", spec.y_lo),
+                                           ("grid.y_hi", spec.y_hi))
+             if bound is not None}
+    for key, bound in given.items():
+        if not params.in_state_space(bound):
+            raise ValidationError(f"{key} = {bound!r} lies outside the state space")
+    y_lo, y_hi = auto() if len(given) < 2 else (None, None)
+    y_lo, y_hi = given.get("grid.y_lo", y_lo), given.get("grid.y_hi", y_hi)
+    if not y_lo < y_hi:
+        raise ValidationError(f"empty window [{y_lo!r}, {y_hi!r}] from "
+                              + " and ".join(given))
+    return y_lo, y_hi
 
 
 def invariant_density(params: ModelParams, p: float = 0.0,
@@ -174,7 +172,7 @@ def invariant_density(params: ModelParams, p: float = 0.0,
     """
     p = _check_momentum(p)
     spec = grid_spec or GridSpec()
-    y_lo, y_hi = _resolve_window(spec, lambda: _choose_window(params, p))
+    y_lo, y_hi = _resolve_window(params, spec, lambda: _choose_window(params, p))
     table = density_on_grid(params, p, _make_grid(params, y_lo, y_hi, spec.n))
     z = table.norm_constant
     if not math.isfinite(z) or z <= 0:
@@ -232,14 +230,6 @@ def _check_grid(grid: np.ndarray, h) -> np.ndarray:
     return h
 
 
-def dirichlet_form(params: ModelParams, p, table: DensityTable, h) -> float:
-    """Quadratic form (nu^2/2) int |y|^{2 beta} |h'|^2 d(pi^p)."""
-    h = _check_grid(table.grid, h)
-    hp = np.gradient(h, table.grid)
-    integrand = 0.5 * params.nu ** 2 * np.abs(table.grid) ** (2.0 * params.beta) * hp ** 2
-    return table.quad(integrand)
-
-
 def _second_derivative(h: np.ndarray, y: np.ndarray) -> np.ndarray:
     """Compact 3-point second difference (one-sided copies at the ends)."""
     hpp = np.empty_like(h)
@@ -261,19 +251,3 @@ def apply_generator(params: ModelParams, p, y: np.ndarray, h) -> np.ndarray:
     hp = np.gradient(h, y)
     hpp = _second_derivative(h, y)
     return mu * hp + 0.5 * params.nu ** 2 * np.abs(y) ** (2.0 * params.beta) * hpp
-
-
-def reversibility_check(params: ModelParams, p, table: DensityTable, f, g) -> float:
-    """Residual |int f B^p g d(pi^p) - int g B^p f d(pi^p)|.
-
-    f and g must vanish near the window edges; the residual is limited by the
-    O(dy^2) error of the central differences.
-    """
-    bg = apply_generator(params, p, table.grid, g)
-    bf = apply_generator(params, p, table.grid, f)
-    return abs(table.quad(f * bg) - table.quad(g * bf))
-
-
-def stationarity_residual(params: ModelParams, p, table: DensityTable, xi) -> float:
-    """|int B^p xi d(pi^p)| for a compactly supported test table xi."""
-    return abs(table.quad(apply_generator(params, p, table.grid, xi)))

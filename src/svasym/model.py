@@ -1,4 +1,4 @@
-"""Model definition, admissibility checks, and boundary classification.
+"""Model definition, admissibility checks and flat-document serialization.
 
 The stock follows dS = r S dt + sigma(Y) S dW1 while the volatility factor Y
 mean-reverts with rate 1/delta:
@@ -20,7 +20,7 @@ from enum import Enum
 
 import numpy as np
 
-from .errors import DomainError, NotApplicableError, ValidationError
+from .errors import DomainError, ValidationError
 
 
 @dataclass(frozen=True)
@@ -135,11 +135,6 @@ class ValidationReport:
 
     def __iter__(self):
         return iter(self.clauses)
-
-
-class BoundaryClass(Enum):
-    INACCESSIBLE = "inaccessible"
-    ACCESSIBLE = "accessible"
 
 
 def sigma_eval(spec: VolFnSpec, y, *, beta: float = 0.0):
@@ -264,47 +259,6 @@ def scale_log_integrand(params: ModelParams, y, p: float = 0.0):
     s = sigma_eval(params.sigma, y, beta=params.beta)
     mu = (params.m - y) + params.rho * p * s * params.nu * np.abs(y) ** params.beta
     return 2.0 * mu / (params.nu ** 2 * np.abs(y) ** (2.0 * params.beta))
-
-
-def boundary_classification(params: ModelParams) -> BoundaryClass:
-    """Classify the left boundary of (0, inf) for beta in [1/2, 1).
-
-    Evaluates S(eps) = int_eps^1 s(y) dy on eps = 2^-k, k = 1, ..., 40, and
-    declares the boundary inaccessible once S(eps) exceeds 1e6 with
-    monotone growth over the last five samples, else accessible.  All work
-    is done in log space because s blows up double-exponentially near 0 for
-    admissible parameters.
-    """
-    if params.beta == 0.0:
-        raise NotApplicableError("beta = 0: the state space is the whole line")
-    if not 0.5 <= params.beta < 1.0:
-        raise ValidationError(f"beta = {params.beta} outside [1/2, 1)")
-
-    log_s_vals = []
-    for k in range(1, 41):
-        eps = 2.0 ** (-k)
-        log_s_vals.append(_log_abs_scale_integral(params, eps))
-        if len(log_s_vals) >= 5:
-            tail = log_s_vals[-5:]
-            monotone = all(b > a for a, b in zip(tail, tail[1:]))
-            if monotone and tail[-1] > math.log(1e6):
-                return BoundaryClass.INACCESSIBLE
-    return BoundaryClass.ACCESSIBLE
-
-
-def _log_abs_scale_integral(params: ModelParams, eps: float) -> float:
-    """log of int_eps^1 s(y) dy on 1024 log-spaced points, computed stably
-    in log space."""
-    y = np.geomspace(eps, 1.0, 1024)
-    # cumulative trapezoid of the log-scale integrand, anchored at y = 1
-    g = scale_log_integrand(params, y)
-    seg = 0.5 * (g[1:] + g[:-1]) * np.diff(y)
-    integral_from_1 = np.concatenate([-np.cumsum(seg[::-1])[::-1], [0.0]])
-    log_s = -integral_from_1
-    # trapezoid in y of exp(log_s), via logsumexp over segments
-    seg_log = np.logaddexp(log_s[1:], log_s[:-1]) + np.log(0.5 * np.diff(y))
-    m = float(np.max(seg_log))
-    return m + math.log(float(np.sum(np.exp(seg_log - m))))
 
 
 def _check_time(value, name: str = "t") -> None:

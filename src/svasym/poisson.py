@@ -102,7 +102,7 @@ def solve_corrector(params: ModelParams, p: float,
     auto = ((lambda: _start_window(params)) if params.beta == 0.0
             else (lambda: _choose_window(params, 0.0)))
     spec = grid_spec or GridSpec()
-    y_lo, y_hi = _resolve_window(spec, auto)
+    y_lo, y_hi = _resolve_window(params, spec, auto)
     y_fine = _corrector_grid(params, y_lo, y_hi, spec.n)
     fine = density_on_grid(params, 0.0, y_fine)
     w = fine.values

@@ -23,7 +23,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .errors import ATMWarning, RangeError, ResolutionError, ValidationError
+from .errors import ATMWarning, RangeError, ValidationError
 from .hamiltonian import LegendreCurve, _sup_refined
 from .model import Regime, _check_time, _write_csv
 
@@ -188,38 +188,3 @@ def implied_vol_curve(x0: float, regime: Regime, t: float,
     values[far] = np.float_power(lk - x0, 2) / (2.0 * rate * t)
     return SmileCurve(logK_grid=logK_grid, values=values, regime=regime,
                       atm_value=sigma_bar_sq)
-
-
-@dataclass(frozen=True)
-class AtmProbe:
-    """CONJECTURE PROBE: numerical evidence only, never asserted as truth."""
-
-    z: np.ndarray
-    ratio: np.ndarray      # z^2 / (2 t^2 Lbar0(z/t))
-    target: Optional[float]
-    trending: Optional[bool]
-
-
-def atm_conjecture_probe(t: float, legendre: LegendreCurve, *,
-                         target: Optional[float] = None) -> AtmProbe:
-    """Probe the conjectured at-the-money limit of the fast-regime smile.
-
-    Reports z -> z^2 / (2 t^2 Lbar0(z/t)) on the shrinking sequence
-    z = q t 2^-k, k = 1, ..., 8, with q the smaller edge of the Legendre
-    curve's range, and whether it trends toward ``target`` (the averaged
-    variance); ResolutionError if Lbar0 falls below 1e-12 there.  This is
-    labeled a conjecture probe: the trend is recorded, not asserted.
-    """
-    q_hi = min(abs(legendre.q_grid[0]), abs(legendre.q_grid[-1]))
-    z = 0.5 * q_hi * t * 2.0 ** -np.arange(8, dtype=float)
-    lvals = legendre(z / t)
-    if np.any(lvals < 1e-12):
-        raise ResolutionError(
-            "Lbar0 near 0 is below the numerical noise floor; the probe "
-            "ratio would be dominated by rounding")
-    ratio = z ** 2 / (2.0 * t * t * lvals)
-    trending = None
-    if target is not None and z.size >= 3:
-        gaps = np.abs(ratio - target)
-        trending = bool(gaps[-1] <= gaps[0])
-    return AtmProbe(z=z, ratio=ratio, target=target, trending=trending)

@@ -373,6 +373,68 @@ class TestBadMomentum:
         assert not out.exists() or not any(out.iterdir())
 
 
+CIR_CFG = """\
+m = 1
+nu = 1
+beta = 0.5
+rho = 0
+y0 = 1
+sigma.kind = power_abs
+sigma.c = 1
+sigma.q = 0.25
+"""
+
+
+class TestBadGridBound:
+    """A grid.y_lo or grid.y_hi outside the state space, or a window they
+    leave empty, ends each command that reads the bounds in exit code 1 and
+    an error line naming the key: no traceback, no NaN columns."""
+
+    @pytest.mark.parametrize("command", ["invariant", "poisson", "hamiltonian"])
+    @pytest.mark.parametrize("base, lines, key", [
+        (BS_CFG, "grid.y_lo = nan", "grid.y_lo = nan"),
+        (BS_CFG, "grid.y_hi = inf", "grid.y_hi = inf"),
+        (CIR_CFG, "grid.y_lo = nan", "grid.y_lo = nan"),
+        (CIR_CFG, "grid.y_hi = inf", "grid.y_hi = inf"),
+        (CIR_CFG, "grid.y_lo = 0", "grid.y_lo = 0.0"),
+        (BS_CFG, "grid.y_lo = 1\ngrid.y_hi = 1", "grid.y_lo and grid.y_hi"),
+        (BS_CFG, "grid.y_hi = -50", "from grid.y_hi"),
+    ], ids=["ou-lo-nan", "ou-hi-inf", "cir-lo-nan", "cir-hi-inf", "cir-lo-0",
+            "ou-lo-eq-hi", "ou-hi-below-auto"])
+    def test_exit_1_with_error_line(self, command, base, lines, key, tmp_path,
+                                    capsys):
+        path = tmp_path / "grid.cfg"
+        path.write_text(base + lines + "\n", encoding="utf-8")
+        out = tmp_path / "out"
+        assert cli.dispatch([command, "--config", str(path),
+                             "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and key in err
+        assert not any(out.iterdir())
+
+
+class TestModelGate:
+    """Every command but validate checks the model first: a failing clause
+    is a validation error naming it, exit code 1, before any work."""
+
+    @pytest.mark.parametrize("line, clause", [
+        ("nu = -1", "fields"), ("nu = nan", "fields"), ("rho = -1", "fields"),
+        ("beta = -1", "beta-range")])
+    @pytest.mark.parametrize("command", ["simulate", "sigma-bar", "rate"])
+    def test_exit_1_naming_the_clause(self, command, line, clause, tmp_path,
+                                      capsys):
+        text, _ = _with_line(line)
+        path = tmp_path / "model.cfg"
+        path.write_text(text, encoding="utf-8")
+        out = tmp_path / "out"
+        assert cli.dispatch([command, "--config", str(path),
+                             "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: model fails ")
+        assert f"clause {clause!r}: " in err
+        assert not out.exists()
+
+
 class TestBadCount:
     """A grid count that is not an integer >= 3 is a config-syntax error
     naming its key (exit code 2); a step count below 1 is a validation

@@ -1,7 +1,9 @@
 """Dead-name guard: every module-level function, class and constant of the
-package is referenced somewhere in src/, tests/ or perfbench/ outside its
-own definition.
+package is read by production code outside its own definition.
 
+The production readers are src/ and perfbench/, the same callers that
+tests/test_dead_options.py counts.  The imports of an ``__init__.py`` are
+re-exports and read nothing, and a name that only tests read is dead code.
 A reference is a loaded name, an attribute, an imported name, or a string
 constant naming it (the benchmark's tracer keys spans by "module.name").
 Dunder names are read by the interpreter, and ``main`` by the console-script
@@ -16,6 +18,7 @@ import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = ROOT / "src" / "svasym"
+READERS = ("src", "perfbench")
 ENTRY_POINTS = {"main"}
 
 
@@ -52,20 +55,49 @@ def _parse(path: Path) -> ast.Module:
     return ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
 
 
-@pytest.fixture(scope="module")
-def all_refs() -> Counter:
+def _reader_refs(root: Path) -> Counter:
+    """References in the production readers under ``root``, without the
+    imports of each ``__init__.py``."""
     refs = Counter()
-    for path in (ROOT / "src", ROOT / "tests", ROOT / "perfbench"):
-        for source in sorted(path.rglob("*.py")):
-            refs.update(_references(_parse(source)))
+    for reader in READERS:
+        for source in sorted((root / reader).rglob("*.py")):
+            tree = _parse(source)
+            if source.name == "__init__.py":
+                tree.body = [node for node in tree.body
+                             if not isinstance(node, (ast.Import, ast.ImportFrom))]
+            refs.update(_references(tree))
     return refs
 
 
-@pytest.mark.parametrize("module", sorted(p.stem for p in PACKAGE.glob("*.py")))
-def test_every_top_level_name_has_a_reader(module, all_refs):
-    tree = _parse(PACKAGE / f"{module}.py")
-    dead = [name for name, node in _definitions(tree)
+def _dead_names(module_tree: ast.Module, refs: Counter) -> list:
+    return [name for name, node in _definitions(module_tree)
             if not (name.startswith("__") and name.endswith("__"))
             and name not in ENTRY_POINTS
-            and all_refs[name] - _references(node)[name] <= 0]
-    assert not dead, f"svasym.{module} defines names nothing reads: {dead}"
+            and refs[name] - _references(node)[name] <= 0]
+
+
+@pytest.fixture(scope="module")
+def reader_refs() -> Counter:
+    return _reader_refs(ROOT)
+
+
+@pytest.mark.parametrize("module", sorted(p.stem for p in PACKAGE.glob("*.py")))
+def test_every_top_level_name_has_a_reader(module, reader_refs):
+    dead = _dead_names(_parse(PACKAGE / f"{module}.py"), reader_refs)
+    assert not dead, (f"svasym.{module} defines names no production code "
+                      f"reads: {dead}")
+
+
+def test_guard_ignores_tests_and_re_exports(tmp_path):
+    files = {
+        "src/pkg/__init__.py": "from .mod import probe, used\n",
+        "src/pkg/mod.py": "def probe(): pass\ndef used(): pass\ndef traced(): pass\n",
+        "src/pkg/cli.py": "from .mod import used\nused()\n",
+        "perfbench/run.py": 'SPANS = ("mod.traced",)\n',
+        "tests/test_mod.py": "from pkg.mod import probe\nprobe()\n",
+    }
+    for rel, text in files.items():
+        (tmp_path / rel).parent.mkdir(parents=True, exist_ok=True)
+        (tmp_path / rel).write_text(text, encoding="utf-8")
+    module = _parse(tmp_path / "src/pkg/mod.py")
+    assert _dead_names(module, _reader_refs(tmp_path)) == ["probe"]

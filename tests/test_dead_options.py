@@ -1,7 +1,8 @@
-"""Dead-option guard: every defaulted parameter of a package function is
-passed, by keyword or by position, at some call in src/ or perfbench/.
-A parameter that no production call sets has one value in use, so it
-belongs in a constant; a test that sets it does not keep it alive.
+"""Dead-option guard: every defaulted parameter of a package function, and
+every defaulted field of a package dataclass, is set by some production
+call in src/ or perfbench/.  An option that no production call sets has
+one value in use, so it belongs in a constant; a test that sets it does not
+keep it alive.
 
 A call counts for every function of the called name (plain or attribute).
 One with ``*args`` passes every positional parameter.  A ``**`` operand
@@ -12,6 +13,13 @@ Any other ``**`` operand passes every keyword parameter.  A call through a
 dispatch table (a subscripted name bound to a dict of functions) counts for
 every function in the table, and a call of a class counts for its
 ``__init__``.
+
+A dataclass field is set by a call of its class (by keyword or position),
+by a keyword of a ``replace(...)`` call, or by a string constant that names
+it in a dotted attribute path, such as the ``"mc.paths"`` rows of the CLI's
+key table.  A ``replace(...)`` whose ``**`` operand does not resolve sets
+no field: the CLI's key table feeds its one such call, and its paths are
+counted as strings.
 """
 
 import ast
@@ -22,10 +30,10 @@ import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = ROOT / "src" / "svasym"
-SOURCES = (ROOT / "src", ROOT / "perfbench")
+SOURCES = ("src", "perfbench")
 
-# (module, function, parameter): reason it stays with no production call
-# setting it
+# (module, function or class, parameter or field): reason it stays with no
+# production call setting it
 EXEMPT = {
     ("simulate", "simulate_tilted", "h"):
         "the Girsanov drift that corrector-guided sampling of the Monte Carlo "
@@ -33,8 +41,6 @@ EXEMPT = {
     ("rates", "lax_solution", "sigma_bar_sq"):
         "the r = 4 closed form that the test of the fast regime's clamped "
         "Hopf-Lax cost compares against (ROADMAP open items)",
-    ("rates", "atm_conjecture_probe", "target"):
-        "the probe is slated for deletion (ROADMAP open items)",
 }
 
 
@@ -210,10 +216,70 @@ def _dead_options(module_tree: ast.Module, passed) -> list:
     return dead
 
 
+def _is_dataclass(cls: ast.ClassDef) -> bool:
+    for dec in cls.decorator_list:
+        target = dec.func if isinstance(dec, ast.Call) else dec
+        if (target.id if isinstance(target, ast.Name)
+                else getattr(target, "attr", None)) == "dataclass":
+            return True
+    return False
+
+
+def _has_default(value) -> bool:
+    """Whether a field's right-hand side gives it a default: any value but
+    a ``field(...)`` call without ``default`` or ``default_factory``."""
+    if (isinstance(value, ast.Call) and isinstance(value.func, ast.Name)
+            and value.func.id == "field"):
+        return any(kw.arg in ("default", "default_factory")
+                   for kw in value.keywords)
+    return value is not None
+
+
+def _path_names(trees) -> set:
+    """Every segment of each string constant that is a dotted path of
+    identifiers, such as "mc.paths" or "tilt_p"."""
+    names = set()
+    for tree in trees:
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Constant) and isinstance(node.value, str):
+                parts = node.value.split(".")
+                if all(part.isidentifier() for part in parts):
+                    names.update(parts)
+    return names
+
+
+def _dead_fields(module_tree: ast.Module, passed, path_names) -> list:
+    replaced = passed.get("replace", (0, set()))[1] - {None}
+    dead = []
+    for cls in ast.walk(module_tree):
+        if not (isinstance(cls, ast.ClassDef) and _is_dataclass(cls)):
+            continue
+        n_pos, keywords = passed.get(cls.name, (0, set()))
+        fields = [node for node in cls.body if isinstance(node, ast.AnnAssign)
+                  and isinstance(node.target, ast.Name)]
+        for index, node in enumerate(fields):
+            name = node.target.id
+            if not _has_default(node.value):
+                continue
+            if not (n_pos > index or name in keywords or None in keywords
+                    or name in replaced or name in path_names):
+                dead.append((cls.name, name))
+    return dead
+
+
+def _production_trees(root: Path) -> list:
+    return [_parse(src) for path in SOURCES
+            for src in sorted((root / path).rglob("*.py"))]
+
+
 @pytest.fixture(scope="module")
-def passed():
-    return _passed([_parse(src) for path in SOURCES
-                    for src in sorted(path.rglob("*.py"))])
+def trees():
+    return _production_trees(ROOT)
+
+
+@pytest.fixture(scope="module")
+def passed(trees):
+    return _passed(trees)
 
 
 @pytest.mark.parametrize("module", sorted(p.stem for p in PACKAGE.glob("*.py")))
@@ -225,12 +291,24 @@ def test_every_defaulted_parameter_is_set_by_a_call(module, passed):
                       f"sets (make each a constant): {dead}")
 
 
+@pytest.mark.parametrize("module", sorted(p.stem for p in PACKAGE.glob("*.py")))
+def test_every_defaulted_field_is_set_by_a_call(module, trees, passed):
+    dead = [(cls, name) for cls, name
+            in _dead_fields(_parse(PACKAGE / f"{module}.py"), passed,
+                            _path_names(trees))
+            if (module, cls, name) not in EXEMPT]
+    assert not dead, (f"svasym.{module} has defaulted dataclass fields no "
+                      f"call sets (make each a constant): {dead}")
+
+
 @pytest.mark.parametrize("entry", sorted(EXEMPT))
-def test_exempt_entry_names_an_unset_parameter(entry, passed):
-    # an entry stays only while its parameter exists and no production
-    # call sets it
+def test_exempt_entry_names_an_unset_parameter(entry, trees, passed):
+    # an entry stays only while its parameter or field exists and no
+    # production call sets it
     module, fn, param = entry
-    dead = _dead_options(_parse(PACKAGE / f"{module}.py"), passed)
+    tree = _parse(PACKAGE / f"{module}.py")
+    dead = (_dead_options(tree, passed)
+            + _dead_fields(tree, passed, _path_names(trees)))
     assert (fn, param) in dead, (
         f"EXEMPT names svasym.{module}.{fn}({param}=), which is gone or now "
         "set by a production call: drop the entry")
@@ -281,3 +359,47 @@ def caller(kwargs):
     narrowed = source.replace('kw["d"] = 4', "kw = {}")
     tree = ast.parse(narrowed)
     assert set(_dead_options(tree, _passed([tree]))) == {("f", "d")}
+
+
+def test_guard_sees_each_way_of_setting_a_field():
+    source = '''
+from dataclasses import dataclass, field, replace
+@dataclass(frozen=True)
+class C:
+    a: int
+    required: int = field(repr=False)
+    by_position: int = 0
+    by_keyword: int = 0
+    by_replace: int = 0
+    by_path: int = 0
+    unset: int = 0
+    unset_factory: tuple = field(default_factory=tuple)
+@dataclass
+class D:
+    by_star: int = 0
+C(1, 2, 3, by_keyword=3)
+replace(c, by_replace=4)
+replace(c, **{name: 5})
+KEYS = ("c.by_path",)
+D(**opts)
+'''
+    tree = ast.parse(source)
+    dead = _dead_fields(tree, _passed([tree]), _path_names([tree]))
+    assert dead == [("C", "unset"), ("C", "unset_factory")]
+
+
+def test_guard_ignores_fields_only_tests_set(tmp_path):
+    files = {
+        "src/pkg/mod.py": ("from dataclasses import dataclass\n"
+                           "@dataclass\nclass C:\n    used: int = 0\n"
+                           "    tested: int = 0\n"),
+        "perfbench/run.py": "from pkg.mod import C\nC(used=1)\n",
+        "tests/test_mod.py": "from pkg.mod import C\nC(tested=1)\n",
+    }
+    for rel, text in files.items():
+        (tmp_path / rel).parent.mkdir(parents=True, exist_ok=True)
+        (tmp_path / rel).write_text(text, encoding="utf-8")
+    trees = _production_trees(tmp_path)
+    module = _parse(tmp_path / "src/pkg/mod.py")
+    assert _dead_fields(module, _passed(trees), _path_names(trees)) == [
+        ("C", "tested")]

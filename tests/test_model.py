@@ -3,9 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from svasym.errors import DomainError, NotApplicableError, ValidationError
-from svasym.model import (BoundaryClass, ModelParams, Regime, VolFnSpec,
-                          boundary_classification, from_doc, sigma_eval,
+from svasym.errors import DomainError, ValidationError
+from svasym.model import (ModelParams, Regime, VolFnSpec, from_doc, sigma_eval,
                           to_doc, validate)
 
 
@@ -115,19 +114,6 @@ class TestValidate:
         report = validate(ou_params(rho=1.0))
         failed = {c.clause for c in report if not c.passed}
         assert "fields" in failed
-
-
-class TestBoundary:
-    def test_whole_line_not_applicable(self):
-        with pytest.raises(NotApplicableError):
-            boundary_classification(ou_params())
-
-    def test_cir_inaccessible(self):
-        assert boundary_classification(cir_params()) is BoundaryClass.INACCESSIBLE
-
-    def test_higher_beta_inaccessible(self):
-        params = cir_params(beta=0.75)
-        assert boundary_classification(params) is BoundaryClass.INACCESSIBLE
 
 
 class TestDoc:

@@ -7,7 +7,7 @@ import pytest
 
 from svasym import hamiltonian as ham
 from svasym import rates, verify
-from svasym.errors import ATMWarning, RangeError, ResolutionError, ValidationError
+from svasym.errors import ATMWarning, RangeError, ValidationError
 from svasym.model import ModelParams, Regime, VolFnSpec
 from svasym.simulate import McConfig
 
@@ -162,30 +162,6 @@ class TestPricesAndSmiles:
         assert path.read_bytes().split(b"\r\n")[0] == b"logK,implied_var,regime"
 
 
-class TestAtmProbe:
-    def test_probe_trends_to_averaged_variance(self):
-        # a cost with a quartic correction: q^2/(2 b) + q^4 gives the ratio
-        # b / (1 + 2 b q^2), which climbs to b as the probe points shrink
-        q = np.linspace(-1.0, 1.0, 4001)
-        leg = ham.LegendreCurve(q_grid=q,
-                                values=q ** 2 / (2 * SBAR2) + q ** 4,
-                                p_star=np.zeros_like(q),
-                                flags=("interior",) * q.size)
-        probe = rates.atm_conjecture_probe(1.0, leg, target=SBAR2)
-        assert probe.trending is True
-        # the smallest probe points sit between table nodes, so linear
-        # interpolation caps the attainable accuracy near the vertex
-        assert probe.ratio[-1] == pytest.approx(SBAR2, rel=1e-2)
-
-    def test_noise_floor_guard(self):
-        q = np.linspace(-1, 1, 101)
-        flat = ham.LegendreCurve(q_grid=q, values=np.zeros_like(q),
-                                 p_star=np.zeros_like(q),
-                                 flags=("interior",) * q.size)
-        with pytest.raises(ResolutionError):
-            rates.atm_conjecture_probe(1.0, flat, target=SBAR2)
-
-
 # Rate, Hopf-Lax and smile outputs pinned bit for bit on a small asymmetric
 # curve: any change to their arithmetic or operand order changes these.
 P_GOLD = np.linspace(-2.0, 2.0, 33)
@@ -229,11 +205,6 @@ def _smile(regime):
     return _digest(sm.logK_grid, sm.values, [sm.atm_value])
 
 
-def _probe():
-    pr = rates.atm_conjecture_probe(T_GOLD, LEG_GOLD, target=SBAR2_GOLD)
-    return _digest(pr.z, pr.ratio, [pr.trending])
-
-
 GOLDEN = {
     "rate_i2": (lambda: _digest(
         rates.rate_i2(X_GOLD, X0, T_GOLD, LEG_GOLD),
@@ -245,7 +216,6 @@ GOLDEN = {
     "lax_ultra_fast": (lambda: _lax(Regime.ULTRA_FAST), "4ac1dea2978c2bef"),
     "smile_fast": (lambda: _smile(Regime.FAST), "303d2a573b7022e6"),
     "smile_ultra_fast": (lambda: _smile(Regime.ULTRA_FAST), "840f224ba09e6cd3"),
-    "atm_probe": (_probe, "3ce93e934a3ba715"),
 }
 
 
