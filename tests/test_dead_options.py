@@ -282,6 +282,11 @@ def passed(trees):
     return _passed(trees)
 
 
+@pytest.fixture(scope="module")
+def path_names(trees):
+    return _path_names(trees)
+
+
 @pytest.mark.parametrize("module", sorted(p.stem for p in PACKAGE.glob("*.py")))
 def test_every_defaulted_parameter_is_set_by_a_call(module, passed):
     dead = [(fn, param) for fn, param
@@ -292,23 +297,21 @@ def test_every_defaulted_parameter_is_set_by_a_call(module, passed):
 
 
 @pytest.mark.parametrize("module", sorted(p.stem for p in PACKAGE.glob("*.py")))
-def test_every_defaulted_field_is_set_by_a_call(module, trees, passed):
+def test_every_defaulted_field_is_set_by_a_call(module, passed, path_names):
     dead = [(cls, name) for cls, name
-            in _dead_fields(_parse(PACKAGE / f"{module}.py"), passed,
-                            _path_names(trees))
+            in _dead_fields(_parse(PACKAGE / f"{module}.py"), passed, path_names)
             if (module, cls, name) not in EXEMPT]
     assert not dead, (f"svasym.{module} has defaulted dataclass fields no "
                       f"call sets (make each a constant): {dead}")
 
 
 @pytest.mark.parametrize("entry", sorted(EXEMPT))
-def test_exempt_entry_names_an_unset_parameter(entry, trees, passed):
+def test_exempt_entry_names_an_unset_parameter(entry, passed, path_names):
     # an entry stays only while its parameter or field exists and no
     # production call sets it
     module, fn, param = entry
     tree = _parse(PACKAGE / f"{module}.py")
-    dead = (_dead_options(tree, passed)
-            + _dead_fields(tree, passed, _path_names(trees)))
+    dead = _dead_options(tree, passed) + _dead_fields(tree, passed, path_names)
     assert (fn, param) in dead, (
         f"EXEMPT names svasym.{module}.{fn}({param}=), which is gone or now "
         "set by a production call: drop the entry")
