@@ -387,3 +387,35 @@ class TestEigenGoldens:
             ham.build_curve(MASS_CLAMP, P_EIGEN, method="eigen")
         assert type(info.value) is ValueError
         assert str(info.value) == "array must not contain infs or NaNs"
+
+
+# Both Monte Carlo forms of hbar0_mc pinned bit for bit: value, stderr and
+# seed (split into 32-bit halves, so the digest holds it exactly).  Any
+# change to the forms' sub-streams, call order or arithmetic changes these.
+OU_CORR = replace(OU, rho=-0.5)
+
+
+def _hbar_mc(params, p, steps):
+    mc = McConfig(paths=1000, steps_per_unit_time=steps, seed=17)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        res = ham.hbar0_mc(params, p, 10.5, mc)
+    return _digest(*([f.value, f.stderr, *divmod(f.seed, 2 ** 32)]
+                     for f in (res.direct, res.martingale)))
+
+
+MC_GOLDEN = {
+    "cir": (lambda: _hbar_mc(CIR, 1.0, 100), "dfebf68f9bdf5546"),
+    "cir_rho": (lambda: _hbar_mc(replace(CIR, rho=-0.5), -1.0, 100), "c9e50d17d57c333a"),
+    "ou_rho": (lambda: _hbar_mc(OU_CORR, 0.5, 20), "68657f037c047230"),
+    "ou_rho_negative_p": (lambda: _hbar_mc(OU_CORR, -1.0, 20), "82b5c515644e9ed6"),
+}
+
+
+class TestMcGoldens:
+    @pytest.mark.parametrize("threads", ["1", "2"])
+    @pytest.mark.parametrize("name", sorted(MC_GOLDEN))
+    def test_digest(self, name, threads, monkeypatch):
+        monkeypatch.setenv("SVASYM_THREADS", threads)
+        run, expected = MC_GOLDEN[name]
+        assert run() == expected
