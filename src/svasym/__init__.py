@@ -13,7 +13,7 @@ from .model import (ModelParams, Regime, VolFnSpec, from_doc, sigma_eval,
 from .measures import DensityTable, GridSpec, invariant_density, sigma_bar_sq
 from .poisson import Corrector, growth_bound_check, solve_corrector
 from .hamiltonian import (HamiltonianCurve, LegendreCurve, build_curve,
-                          hbar0_eigen, hbar0_mc, legendre)
+                          hbar0_direct, hbar0_eigen, hbar0_mc, legendre)
 from .rates import (RateCurve, SmileCurve, implied_vol_curve, lax_solution,
                     option_price_log_asymptote, rate_curve, rate_i2, rate_i4)
 from .simulate import (McConfig, McEstimate, PathBatch, ergodic_average,

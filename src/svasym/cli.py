@@ -288,10 +288,10 @@ def _cmd_smile(cfg: RunConfig, out: str) -> int:
 
 def _cmd_simulate(cfg: RunConfig, out: str, raw: bool = False) -> int:
     batch = simulate.simulate_xy(cfg.model, cfg.regime, cfg.eps, cfg.t, cfg.mc)
+    s = batch.summary()  # StabilityError before any artifact if not finite
     batch.to_csv(_emit(out, "simulate_summary.csv"))
     if raw:
         batch.to_binary(_emit(out, "simulate_paths.bin"))
-    s = batch.summary()
     print(f"  {s['paths']} paths, mean X {s['mean_x']:.6g}, "
           f"var X {s['var_x']:.6g}, seed {s['seed']}")
     return 0
@@ -307,8 +307,7 @@ def _cmd_verify_ldp(cfg: RunConfig, out: str) -> int:
 
 def _cmd_accept(cfg: RunConfig, out: str) -> int:
     path = os.path.join(out, "acceptance.json")
-    report = verify.run_acceptance({"seed": cfg.mc.seed, "model": cfg.model,
-                                    "out": path})
+    report = verify.run_acceptance(cfg.mc.seed, model=cfg.model, out=path)
     print(f"wrote {path}")
     for entry in report["criteria"]:
         print(f"  [{'PASS' if entry['pass'] else 'FAIL'}] "

@@ -19,11 +19,11 @@ the top eigenvalue lies between the constant function's quotient (the
 mass-weighted mean of the potential, the discrete C5 bound) and the
 potential's maximum on the grid; bisection runs on that bracket alone, to
 1e-12 of its top.  Without correlation the problem at -p is the one at p,
-and `build_curve` solves each |p| once.  `hbar0_mc` estimates the growth
-rate by plain Monte Carlo over a long horizon, in both the direct form
-above and the equivalent exponential-martingale form on the untilted
-process.  Agreement of the two routes is the core cross-check of this
-package.
+and `build_curve` solves each |p| once.  `hbar0_direct` estimates the
+growth rate by plain Monte Carlo over a long horizon, in the direct form
+above; `hbar0_mc` adds the equivalent exponential-martingale form on the
+untilted process.  Agreement of the two routes is the core cross-check of
+this package.
 """
 
 from __future__ import annotations
@@ -101,14 +101,6 @@ class HbarMcResult:
     direct: McEstimate
     martingale: McEstimate
 
-    @property
-    def value(self) -> float:
-        return self.direct.value
-
-    @property
-    def stderr(self) -> float:
-        return self.direct.stderr
-
 
 def _top_eigen(d: np.ndarray, e: np.ndarray, lo: float, hi: float,
                vector: bool):
@@ -155,14 +147,9 @@ def _rayleigh_top(params: ModelParams, p: float, y: np.ndarray,
     """
     w = density_on_grid(params, p, y).values
     n = y.size
-    # trapezoid mass weights
-    tau = np.empty(n)
     dy = np.diff(y)
-    tau[0] = 0.5 * dy[0]
-    tau[-1] = 0.5 * dy[-1]
-    tau[1:-1] = 0.5 * (dy[:-1] + dy[1:])
-    mass = w * tau
-    mass = np.maximum(mass, 1e-300)
+    tau = 0.5 * (np.append(dy, 0.0) + np.insert(dy, 0, 0.0))  # trapezoid weights
+    mass = np.maximum(w * tau, 1e-300)
 
     v = 0.5 * p * p * sigma_eval(params.sigma, y, beta=params.beta) ** 2
     y_mid = 0.5 * (y[1:] + y[:-1])
@@ -229,43 +216,47 @@ def hbar0_eigen(params: ModelParams, p: float, *,
         "fast for a finite window at this p")
 
 
-def hbar0_mc(params: ModelParams, p: float, T: float, mc: McConfig) -> HbarMcResult:
-    """Monte Carlo growth-rate estimate over horizon T.
+def _growth_rate(params: ModelParams, T: float, mc: McConfig, k: int,
+                 tilt: float, functional) -> Tuple[McEstimate, float]:
+    """(1/duration) log E[exp functional(batch)] over the factor tilted by
+    ``tilt``, from the mode of its invariant law with burn-in T/10, on
+    sub-stream k of ``mc.seed``; with the relative SE of the mean."""
+    sub = replace(mc, seed=substream_seed(mc.seed, k))
+    start = invariant_density(params, tilt).mode()
+    tb = simulate_tilted(params, T, sub, p=tilt, y_start=start, burn_in=T / 10.0)
+    lme, se = log_mean_exp(functional(tb))
+    return McEstimate(value=lme / tb.duration, stderr=se / tb.duration,
+                      n=mc.paths, seed=sub.seed), se
 
-    Direct form: simulate the tilted process from the mode of its invariant
-    law (burn-in T/10 discarded) and average exp{(p^2/2) int sigma^2 ds}.
-    Martingale form: the same expectation rewritten on the untilted process
-    through the exponential martingale of the drift tilt, giving the
-    functional (p^2(1-rho^2)/2) int sigma^2 ds + rho p int sigma dW2.
-    Both are returned; their agreement is a consistency check.  The direct
-    form runs on sub-stream 0 of ``mc.seed`` and the martingale form on
-    sub-stream 1.
-    """
+
+def hbar0_direct(params: ModelParams, p: float, T: float, mc: McConfig) -> McEstimate:
+    """Monte Carlo growth rate over horizon T, direct form: the tilted
+    process averages exp{(p^2/2) int sigma^2 ds}, on sub-stream 0 of
+    ``mc.seed``.  A VarianceWarning flags a relative SE above 25%."""
     p = _check_momentum(p)
     if T * 1.0 <= 10.0:
         raise ValidationError("horizon T must exceed 10 relaxation times")
     _check_mc(params, mc)
-    burn = T / 10.0
-    mc_p, mc_0 = (replace(mc, seed=substream_seed(mc.seed, k)) for k in (0, 1))
-
-    start_p = invariant_density(params, p).mode()
-    tb = simulate_tilted(params, T, mc_p, p=p, y_start=start_p, burn_in=burn)
-    s_direct = 0.5 * p * p * tb.int_sigma_sq
-    lme, se = log_mean_exp(s_direct)
+    est, se = _growth_rate(params, T, mc, 0, p,
+                           lambda tb: 0.5 * p * p * tb.int_sigma_sq)
     if se > 0.25:
         warnings.warn(f"heavy-tailed exponential functional at p={p:g} "
                       f"(relative SE {se:.1%}); estimate may be biased low",
                       VarianceWarning)
-    direct = McEstimate(value=lme / tb.duration, stderr=se / tb.duration,
-                        n=mc.paths, seed=mc_p.seed)
+    return est
 
-    start_0 = invariant_density(params, 0.0).mode()
-    tb0 = simulate_tilted(params, T, mc_0, p=0.0, y_start=start_0, burn_in=burn)
-    s_mart = (0.5 * p * p * (1.0 - params.rho ** 2) * tb0.int_sigma_sq
-              + params.rho * p * tb0.int_sigma_dw2)
-    lme_m, se_m = log_mean_exp(s_mart)
-    martingale = McEstimate(value=lme_m / tb0.duration, stderr=se_m / tb0.duration,
-                            n=mc.paths, seed=mc_0.seed)
+
+def hbar0_mc(params: ModelParams, p: float, T: float, mc: McConfig) -> HbarMcResult:
+    """``hbar0_direct`` and, on sub-stream 1 of ``mc.seed``, the martingale
+    form: the same expectation on the untilted process through the
+    exponential martingale of the drift tilt, whose functional is
+    (p^2(1-rho^2)/2) int sigma^2 ds + rho p int sigma dW2."""
+    direct = hbar0_direct(params, p, T, mc)
+    p = float(p)  # checked finite by hbar0_direct
+    martingale, _ = _growth_rate(
+        params, T, mc, 1, 0.0,
+        lambda tb: (0.5 * p * p * (1.0 - params.rho ** 2) * tb.int_sigma_sq
+                    + params.rho * p * tb.int_sigma_dw2))
     return HbarMcResult(direct=direct, martingale=martingale)
 
 
@@ -276,7 +267,7 @@ def build_curve(params: ModelParams, p_grid: Sequence[float],
 
     ``method`` is "eigen" (``hbar0_eigen`` on ``grid_spec``, with its error
     estimates) or "closed-form" (constant sigma only: sigma0^2 p^2 / 2,
-    errors 0); the Monte Carlo route is ``hbar0_mc``, called per momentum.
+    errors 0); the Monte Carlo route is ``hbar0_direct``, per momentum.
 
     The value at p = 0 is pinned to 0 exactly (the defining normalization).
     With rho = 0 the value and error at -p are those solved at p, so the

@@ -86,14 +86,15 @@ def _make_grid(params: ModelParams, y_lo: float, y_hi: float, n: int) -> np.ndar
     return np.geomspace(y_lo, y_hi, n)
 
 
-def _edge_tail_bounds(y: np.ndarray, w: np.ndarray, left_open: bool):
+def _edge_tail_bounds(y: np.ndarray, w: np.ndarray, logw: np.ndarray,
+                      left_open: bool):
     """Exponential-majorant bounds on the mass outside [y[0], y[-1]].
 
-    Uses the local log-slope at each edge; the densities here are log-concave
-    in the tails so w(y) <= w(edge) * exp(-|slope| * dist) beyond the edge.
+    Uses the local slope of logw = log w at each edge (exact where w
+    underflows); the densities are log-concave in the tails so w(y) <=
+    w(edge) * exp(-|slope| * dist) beyond the edge.
     Returns (left_bound, right_bound); inf when the slope has the wrong sign.
     """
-    logw = np.log(np.maximum(w, 1e-300))
     slope_r = (logw[-1] - logw[-2]) / (y[-1] - y[-2])
     right = w[-1] / (-slope_r) if slope_r < 0 else math.inf
     slope_l = (logw[1] - logw[0]) / (y[1] - y[0])
@@ -122,9 +123,10 @@ def _choose_window(params: ModelParams, pv: float):
     for _ in range(MAX_EXPANSIONS):
         y = _make_grid(params, y_lo, y_hi, 1025)
         logw = _log_speed_density(params, pv, y)
-        w = np.exp(logw - np.max(logw))
+        logw -= np.max(logw)
+        w = np.exp(logw)
         total = trapezoid(w, y)
-        left, right = _edge_tail_bounds(y, w, left_open=(params.beta == 0.0))
+        left, right = _edge_tail_bounds(y, w, logw, left_open=(params.beta == 0.0))
         tol = TAIL_REL_TOL * total
         if left < tol and right < tol:
             return y_lo, y_hi

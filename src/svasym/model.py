@@ -186,13 +186,14 @@ def validate(params: ModelParams) -> ValidationReport:
     """
     clauses = []
 
+    # nu * nu, not nu ** 2: ** raises on overflow
     field_ok = (params.nu > 0 and -1.0 < params.rho < 1.0 and params.r >= 0.0
                 and math.isfinite(params.m) and math.isfinite(params.y0)
-                and math.isfinite(params.x0))
+                and math.isfinite(params.x0) and math.isfinite(params.nu * params.nu))
     clauses.append(ClauseResult(
         "fields", field_ok,
         "nu > 0, rho in (-1, 1), r >= 0, finite m/y0/x0" if field_ok
-        else "basic field constraints violated (need nu > 0, rho in (-1,1), r >= 0, finite m/y0/x0)"))
+        else "basic field constraints violated (need nu > 0 with finite nu^2, rho in (-1,1), r >= 0, finite m/y0/x0)"))
 
     beta = params.beta
     beta_ok = beta == 0.0 or 0.5 <= beta < 1.0
@@ -268,10 +269,10 @@ def _check_time(value, name: str = "t") -> None:
 
 
 def _check_momentum(p) -> float:
-    """The momentum p as a float; ValidationError unless it is finite."""
+    """The momentum p as a float; ValidationError unless p * p is finite."""
     p = float(p)
-    if not math.isfinite(p):
-        raise ValidationError(f"p must be finite, got {p!r}")
+    if not math.isfinite(p * p):
+        raise ValidationError(f"p must be finite with a finite square, got {p!r}")
     return p
 
 

@@ -36,6 +36,9 @@ from .errors import StabilityError, ValidationError, VarianceWarning
 from .model import ModelParams, Regime, _check_time, _sigma_into, _write_csv
 
 BLOCK_PATHS = 65536
+# work caps, far above the largest pinned run (C8: 1e6 paths, 8574 steps)
+MAX_PATHS = 10 ** 8
+MAX_STEPS = 10 ** 7
 
 
 @dataclass(frozen=True)
@@ -66,7 +69,7 @@ class PathBatch:
     dt: float
 
     def summary(self) -> dict:
-        return {
+        s = {
             "paths": int(self.x.size),
             "mean_x": float(np.mean(self.x)),
             "var_x": float(np.var(self.x)),
@@ -76,6 +79,10 @@ class PathBatch:
             "n_steps": int(self.n_steps),
             "dt": float(self.dt),
         }
+        bad = [key for key, value in s.items() if not math.isfinite(value)]
+        if bad:
+            raise StabilityError(f"non-finite summary: {', '.join(bad)}")
+        return s
 
     def to_csv(self, path) -> None:
         s = self.summary()
@@ -140,8 +147,8 @@ def _map_blocks(n_paths: int, seed: int, fn: Callable[[np.random.Generator, int]
 
 
 def _check_mc(params: ModelParams, mc: McConfig) -> None:
-    if mc.paths < 1:
-        raise ValidationError("paths must be >= 1")
+    if not 1 <= mc.paths <= MAX_PATHS:
+        raise ValidationError(f"paths must lie in [1, {MAX_PATHS}]")
     if mc.steps_per_unit_time < 1:
         raise ValidationError("steps_per_unit_time must be >= 1")
     if not 0 <= mc.seed < 2 ** 64:
@@ -150,6 +157,13 @@ def _check_mc(params: ModelParams, mc: McConfig) -> None:
         raise ValidationError(
             "steps_per_unit_time must be >= 100 when beta is in [1/2, 1) "
             "(the factor is stiff near the boundary)")
+
+
+def _step_count(n: float) -> int:
+    """ceil(n), at least 1; ValidationError past MAX_STEPS (and at inf)."""
+    if not n <= MAX_STEPS:
+        raise ValidationError(f"{n:.3g} time steps exceed the cap of {MAX_STEPS}")
+    return max(1, int(math.ceil(n)))
 
 
 class _FactorStepper:
@@ -271,7 +285,7 @@ def simulate_xy(params: ModelParams, regime: Regime, eps: float, t: float,
     delta = eps ** regime.r
     lam = eps / delta
     dt = (delta / eps) / mc.steps_per_unit_time
-    n_steps = max(1, int(math.ceil(t / dt)))
+    n_steps = _step_count(t / dt)
     dt = t / n_steps
     sq_dt = math.sqrt(dt)
 
@@ -300,7 +314,7 @@ def _tilted_loop(params: ModelParams, T: float, mc: McConfig, p: float, h,
     if not 0.0 <= burn_in < T:
         raise ValidationError("burn_in must lie in [0, T)")
     dt = 1.0 / mc.steps_per_unit_time
-    n_steps = max(1, int(math.ceil(T / dt)))
+    n_steps = _step_count(T / dt)
     dt = T / n_steps
     y0 = params.y0 if y_start is None else float(y_start)
     if h is not None:

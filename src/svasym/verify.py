@@ -174,8 +174,7 @@ def ldp_tail(params: ModelParams, regime: Regime, x: float, t: float,
 
     finite = [(q.eps, q.estimate) for q in points if math.isfinite(q.estimate)]
     if len(finite) >= 3:
-        ee = np.array([f[0] for f in finite])
-        vv = np.array([f[1] for f in finite])
+        ee, vv = np.array(finite).T
         rho_s = float(spearmanr(vv, ee).statistic)
         # approaching the limit from below means estimates rise as eps falls
         expected_sign = -1.0 if vv[0] < predicted else 1.0
@@ -340,7 +339,7 @@ def _c4_hamiltonian_cross(seed: int) -> dict:
                                seed=simulate.substream_seed(seed, i))
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
-            est = ham.hbar0_mc(params, p, horizons[abs(p)], mc)
+            est = ham.hbar0_direct(params, p, horizons[abs(p)], mc)
         gap = abs(curve.values[i] - est.value)
         tol = 2.0 * est.stderr + 0.02
         gaps[f"p={p:g}"] = {"gap": gap, "tol": tol}
@@ -522,21 +521,14 @@ CRITERIA = {
 }
 
 
-def run_acceptance(config: Optional[dict] = None) -> dict:
-    """Run the acceptance suite and return a machine-readable report.
-
-    ``config`` keys (all optional): seed (int, default 42), criteria (list
-    of criterion ids to run), model (a ModelParams to validate alongside
-    the built-in fixtures), out (path for the JSON report).  Failures are
-    recorded, never raised.
-    """
-    config = dict(config or {})
-    seed = int(config.get("seed", 42))
-    wanted = config.get("criteria")
-    model = config.get("model")
-    run = [("C0", lambda _: _c0_validation(model))]
-    run += [(cid, fn) for cid, fn in CRITERIA.items()
-            if wanted is None or cid in wanted]
+def run_acceptance(seed: int = 42, *, model: Optional[ModelParams] = None,
+                   out: Optional[str] = None) -> dict:
+    """Run the acceptance suite with ``seed`` and return a machine-readable
+    report; C0 also validates ``model``, if given, alongside the fixtures.
+    ``out`` is a path for the JSON report.  Failures are recorded, never
+    raised."""
+    seed = int(seed)
+    run = [("C0", lambda _: _c0_validation(model)), *CRITERIA.items()]
     entries = []
     for cid, fn in run:
         t0 = time.perf_counter()
@@ -549,7 +541,6 @@ def run_acceptance(config: Optional[dict] = None) -> dict:
                         "seed": seed})
     report = {"seed": seed, "criteria": entries,
               "passed": all(e["pass"] for e in entries)}
-    out = config.get("out")
     if out:
         with open(out, "w", encoding="utf-8") as fh:
             json.dump(report, fh, indent=2, sort_keys=True)

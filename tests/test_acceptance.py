@@ -39,7 +39,7 @@ CRITERIA_IDS = ["C0"] + list(verify.CRITERIA)
 @pytest.fixture(scope="session")
 def acceptance_report(tmp_path_factory):
     out = tmp_path_factory.mktemp("acceptance") / "acceptance.json"
-    return verify.run_acceptance({"seed": 42, "out": str(out)})
+    return verify.run_acceptance(seed=42, out=str(out))
 
 
 @pytest.mark.parametrize("cid", CRITERIA_IDS)

@@ -80,16 +80,16 @@ class TestConfigParsing:
         assert cli.load_config(str(path)) == cfg
 
 
-def _with_line(line):
-    """BS_CFG with one line replaced (same key) or appended; returns the
+def _with_line(line, base=BS_CFG):
+    """base with one line replaced (same key) or appended; returns the
     text and the 1-based line number of that line."""
     key = line.split("=")[0].strip()
-    lines = BS_CFG.splitlines()
+    lines = base.splitlines()
     for i, old in enumerate(lines):
         if old.split("=")[0].strip() == key:
             lines[i] = line
             return "\n".join(lines) + "\n", i + 1
-    return BS_CFG + line + "\n", len(lines) + 1
+    return base + line + "\n", len(lines) + 1
 
 
 BAD_VALUES = ["t = abc", "eps_sequence = 0.5 x", "p_grid.count = 2.5",
@@ -463,6 +463,52 @@ class TestBadCount:
                              "--out", str(tmp_path / "out")]) == 1
         assert capsys.readouterr().err == (
             "error: steps_per_unit_time must be >= 1\n")
+
+
+OU_CFG = """\
+m = 0
+nu = 1.4142135623730951
+beta = 0
+rho = -0.3
+y0 = 0
+sigma.kind = power_abs
+sigma.c = 1
+sigma.q = 0.5
+regime = 2
+mc.paths = 2000
+mc.seed = 42
+"""
+
+
+class TestHugeValue:
+    """A value whose square overflows, or a run past the step or path cap,
+    ends the command in exit code 1 and an error line: no traceback, no
+    non-finite artifact, no endless run."""
+
+    @pytest.mark.parametrize("command, line, error", [
+        ("sigma-bar", "nu = 1e300", "model fails clause 'fields'"),
+        ("hamiltonian", "nu = 1e300", "model fails clause 'fields'"),
+        ("simulate", "nu = 1e300", "model fails clause 'fields'"),
+        ("poisson", "tilt.p = 1e300", "p must be finite with a finite square"),
+        ("simulate", "m = 1e300", "non-finite summary: var_x"),
+        ("simulate", "x0 = 1e300", "non-finite summary: var_x"),
+        ("simulate", "t = 1e300", "time steps exceed the cap"),
+        ("verify-ldp", "t = 1e300", "time steps exceed the cap"),
+        ("simulate", "mc.paths = 1e300", "paths must lie in "),
+        ("verify-ldp", "mc.paths = 1e300", "paths must lie in "),
+    ])
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_exit_1_with_error_line(self, command, line, error, tmp_path,
+                                    capsys):
+        path = tmp_path / "huge.cfg"
+        path.write_text(_with_line(line, OU_CFG)[0], encoding="utf-8")
+        out = tmp_path / "out"
+        assert cli.dispatch([command, "--config", str(path),
+                             "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and error in err
+        assert err.count("\n") == 1
+        assert not out.exists() or not any(out.iterdir())
 
 
 def test_module_entry_point_runs_the_command(tmp_path):

@@ -1,4 +1,3 @@
-import hashlib
 import math
 import warnings
 from dataclasses import replace
@@ -11,6 +10,9 @@ from svasym import measures, poisson
 from svasym.errors import RangeError, ResolutionError, ValidationError
 from svasym.model import ModelParams, VolFnSpec
 from svasym.simulate import McConfig
+
+from golden import digest
+
 
 OU = ModelParams(m=0.0, nu=math.sqrt(2.0), beta=0.0, rho=0.0, r=0.0,
                  sigma=VolFnSpec.power_abs(1.0, 0.5), y0=0.0)
@@ -116,13 +118,15 @@ class TestBracketSolve:
             ham._top_eigen(d, e, 4.0, 5.0, True)
 
 
-@pytest.mark.parametrize("p", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("p", [math.nan, math.inf, -math.inf, 1e300, -1e155])
 @pytest.mark.parametrize("call", [
     lambda p: ham.hbar0_eigen(OU, p),
+    lambda p: ham.hbar0_direct(OU, p, 10.5, McConfig(paths=16)),
     lambda p: ham.hbar0_mc(OU, p, 10.5, McConfig(paths=16)),
     lambda p: measures.invariant_density(OU, p),
     lambda p: poisson.solve_corrector(OU, p),
-], ids=["hbar0_eigen", "hbar0_mc", "invariant_density", "solve_corrector"])
+], ids=["hbar0_eigen", "hbar0_direct", "hbar0_mc", "invariant_density",
+        "solve_corrector"])
 def test_momentum_must_be_finite(call, p):
     with pytest.raises(ValidationError, match="p must be finite"):
         call(p)
@@ -173,6 +177,20 @@ class TestBuildCurve:
             ham.hbar0_mc(OU, 0.5, 10.5, McConfig(paths=16, seed=seed))
         assert len(seeds[0]) == len(seeds[1]) == 2
         assert not seeds[0] & seeds[1]
+
+    def test_direct_form_runs_alone(self, monkeypatch):
+        # hbar0_direct is hbar0_mc's direct form, with one simulation
+        mc = McConfig(paths=16, seed=5)
+        calls, real = [], ham.simulate_tilted
+
+        def spy(params, T, mc, **kw):
+            calls.append(kw["p"])
+            return real(params, T, mc, **kw)
+
+        monkeypatch.setattr(ham, "simulate_tilted", spy)
+        direct = ham.hbar0_direct(OU, 0.5, 10.5, mc)
+        assert calls == [0.5]
+        assert direct == ham.hbar0_mc(OU, 0.5, 10.5, mc).direct
 
     def test_csv_format(self, tmp_path):
         curve = ham.build_curve(CONST, np.linspace(-1, 1, 5), method="closed-form")
@@ -241,13 +259,6 @@ X_UNEVEN = np.cumsum(0.05 + 0.04 * np.sin(np.arange(40.0)))
 F_UNEVEN = np.exp(0.5 * (X_UNEVEN - 0.8)) + 0.1 * X_UNEVEN ** 2
 
 
-def _digest(*parts) -> str:
-    h = hashlib.sha256()
-    for part in parts:
-        h.update(np.ascontiguousarray(part, dtype="<f8").tobytes())
-    return h.hexdigest()[:16]
-
-
 def _flags(flags):
     return [f == "interior" for f in flags]
 
@@ -284,12 +295,12 @@ def _conjugate_loop(x, f, q):
 
 def _conjugate(x, f, q):
     values, x_star, flags = ham.conjugate(x, f, q)
-    return _digest(values, x_star, _flags(flags))
+    return digest(values, x_star, _flags(flags))
 
 
 def _legendre():
     leg = ham.legendre(CURVE_GOLD, Q_GOLD)
-    return _digest(leg.q_grid, leg.values, leg.p_star, _flags(leg.flags))
+    return digest(leg.q_grid, leg.values, leg.p_star, _flags(leg.flags))
 
 
 GOLDEN = {
@@ -299,14 +310,14 @@ GOLDEN = {
         lambda: _conjugate(X_UNEVEN, F_UNEVEN, np.linspace(0.0, 1.5, 97)),
         "d8fec6781942d9eb"),
     "legendre": (_legendre, "30babf94052e5c4d"),
-    "biconjugate": (lambda: _digest(ham.biconjugate(CURVE_GOLD, Q_GOLD)),
+    "biconjugate": (lambda: digest(ham.biconjugate(CURVE_GOLD, Q_GOLD)),
                     "ba9c207a13469a23"),
 }
 
 
 class TestTransformGoldens:
     @pytest.mark.parametrize("name", sorted(GOLDEN))
-    def test_digest(self, name):
+    def testdigest(self, name):
         run, expected = GOLDEN[name]
         assert run() == expected
 
@@ -359,7 +370,7 @@ P_EIGEN = np.linspace(-2.0, 2.0, 33)
 
 def _eigen_curve(params):
     curve = ham.build_curve(params, P_EIGEN, method="eigen")
-    return _digest(curve.values, curve.errors)
+    return digest(curve.values, curve.errors)
 
 
 EIGEN_GOLDEN = {
@@ -373,7 +384,7 @@ EIGEN_GOLDEN = {
 
 class TestEigenGoldens:
     @pytest.mark.parametrize("name", sorted(EIGEN_GOLDEN))
-    def test_digest(self, name):
+    def testdigest(self, name):
         run, expected = EIGEN_GOLDEN[name]
         assert run() == expected
 
@@ -400,7 +411,7 @@ def _hbar_mc(params, p, steps):
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
         res = ham.hbar0_mc(params, p, 10.5, mc)
-    return _digest(*([f.value, f.stderr, *divmod(f.seed, 2 ** 32)]
+    return digest(*([f.value, f.stderr, *divmod(f.seed, 2 ** 32)]
                      for f in (res.direct, res.martingale)))
 
 
@@ -415,7 +426,7 @@ MC_GOLDEN = {
 class TestMcGoldens:
     @pytest.mark.parametrize("threads", ["1", "2"])
     @pytest.mark.parametrize("name", sorted(MC_GOLDEN))
-    def test_digest(self, name, threads, monkeypatch):
+    def testdigest(self, name, threads, monkeypatch):
         monkeypatch.setenv("SVASYM_THREADS", threads)
         run, expected = MC_GOLDEN[name]
         assert run() == expected

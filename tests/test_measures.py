@@ -1,4 +1,3 @@
-import hashlib
 import math
 from dataclasses import replace
 
@@ -10,6 +9,9 @@ from scipy.stats import norm
 from svasym import measures
 from svasym.errors import GridMismatchError
 from svasym.model import ModelParams, VolFnSpec
+
+from golden import digest
+
 
 OU = ModelParams(m=0.0, nu=math.sqrt(2.0), beta=0.0, rho=0.0, r=0.0,
                  sigma=VolFnSpec.power_abs(1.0, 0.5), y0=0.0)
@@ -74,6 +76,35 @@ class TestSigmaBarSq:
         assert err >= 0.0
 
 
+# fast_smile's seed 1, round 1, model 19: on the start window its two
+# left-edge density values are 1.0e-305 and 6.8e-304
+BETA_094 = ModelParams(
+    m=1.6695674881376248, nu=0.3077568909976559, beta=0.9420703286607313,
+    rho=-0.4722838923119701, r=0.0, y0=1.6695674881376248,
+    sigma=VolFnSpec.power_abs(0.9364373492145881, 0.010289211157427852,
+                              0.25654741554830385))
+
+
+class TestWindow:
+    def test_edge_slope_survives_underflow(self):
+        # slopes from a density clamped at 1e-300 read 0 at such an edge,
+        # so the bound there was inf however far the window grew
+        y = np.linspace(0.0, 4.0, 5)
+        logw = np.array([-800.0, -700.0, 0.0, -1.0, -2.0])
+        left, right = measures._edge_tail_bounds(y, np.exp(logw), logw,
+                                                 left_open=True)
+        assert left == 0.0
+        assert right == pytest.approx(math.exp(-2.0))
+
+    @pytest.mark.parametrize("p", [-2.0, 0.0, 1.0, 2.0])
+    def test_underflowing_edge_keeps_the_start_window(self, p):
+        assert measures._choose_window(BETA_094, p) == measures._start_window(BETA_094)
+
+    def test_underflowing_edge_model_is_served(self):
+        assert measures.sigma_bar_sq(BETA_094) == pytest.approx(0.88853, abs=1e-5)
+        assert measures.invariant_density(BETA_094).integral() == pytest.approx(1.0)
+
+
 class TestGeneratorForms:
     def test_reversibility(self):
         # |int f B g dpi - int g B f dpi| for f, g vanishing near the edges,
@@ -111,23 +142,16 @@ OU_RHO = replace(OU, rho=-0.5)
 CIR_RHO = replace(CIR, rho=-0.5)
 
 
-def _digest(*parts) -> str:
-    h = hashlib.sha256()
-    for part in parts:
-        h.update(np.ascontiguousarray(part, dtype="<f8").tobytes())
-    return h.hexdigest()[:16]
-
-
 def _density(params, spec):
     tab = measures.invariant_density(params, 0.5, spec)
-    return _digest(tab.grid, tab.values, [tab.norm_constant])
+    return digest(tab.grid, tab.values, [tab.norm_constant])
 
 
 GOLDEN = {
     "sigma_bar_sq_ou": (
-        lambda: _digest(measures.sigma_bar_sq(OU, with_error=True)), "46e3e9399fdcddc0"),
+        lambda: digest(measures.sigma_bar_sq(OU, with_error=True)), "46e3e9399fdcddc0"),
     "sigma_bar_sq_cir": (
-        lambda: _digest(measures.sigma_bar_sq(CIR, with_error=True)), "c1f2f76315a04237"),
+        lambda: digest(measures.sigma_bar_sq(CIR, with_error=True)), "c1f2f76315a04237"),
     "invariant_ou_rho_y_lo": (
         lambda: _density(OU_RHO, measures.GridSpec(y_lo=-4.0)), "0a854b42adf597ab"),
     "invariant_cir_rho_y_hi": (
@@ -137,6 +161,6 @@ GOLDEN = {
 
 class TestGoldenOutputs:
     @pytest.mark.parametrize("name", sorted(GOLDEN))
-    def test_digest(self, name):
+    def testdigest(self, name):
         run, expected = GOLDEN[name]
         assert run() == expected

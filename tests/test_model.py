@@ -115,6 +115,12 @@ class TestValidate:
         failed = {c.clause for c in report if not c.passed}
         assert "fields" in failed
 
+    def test_nu_square_must_be_finite(self):
+        # nu ** 2 raised OverflowError in the numerical layers past 1.3e154
+        assert validate(ou_params(nu=1e150)).passed
+        report = validate(ou_params(nu=1e155))
+        assert {c.clause for c in report if not c.passed} == {"fields"}
+
 
 class TestDoc:
     def test_round_trip(self):

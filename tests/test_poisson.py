@@ -1,4 +1,3 @@
-import hashlib
 import math
 from dataclasses import replace
 
@@ -10,6 +9,9 @@ from scipy.stats import norm
 from svasym import measures, poisson
 from svasym.errors import CenteringError
 from svasym.model import ModelParams, VolFnSpec
+
+from golden import digest
+
 
 OU = ModelParams(m=0.0, nu=math.sqrt(2.0), beta=0.0, rho=0.0, r=0.0,
                  sigma=VolFnSpec.power_abs(1.0, 0.5), y0=0.0)
@@ -112,16 +114,9 @@ class TestGrowthBound:
 
 # Corrector outputs pinned bit for bit: any change to the window, the
 # working grid or the quadratures changes these digests.
-def _digest(*parts) -> str:
-    h = hashlib.sha256()
-    for part in parts:
-        h.update(np.ascontiguousarray(part, dtype="<f8").tobytes())
-    return h.hexdigest()[:16]
-
-
 def _corrector(params, spec=None):
     cor = poisson.solve_corrector(params, 1.0, spec)
-    return _digest(cor.grid, cor.chi, cor.chi_prime, cor.chi_prime_left,
+    return digest(cor.grid, cor.chi, cor.chi_prime, cor.chi_prime_left,
                    cor.chi_prime_right, [cor.sigma_bar_sq],
                    poisson.generator_residual(params, cor))
 
@@ -136,6 +131,6 @@ GOLDEN = {
 
 class TestGoldenOutputs:
     @pytest.mark.parametrize("name", sorted(GOLDEN))
-    def test_digest(self, name):
+    def testdigest(self, name):
         run, expected = GOLDEN[name]
         assert run() == expected

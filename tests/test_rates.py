@@ -1,4 +1,3 @@
-import hashlib
 import math
 import warnings
 
@@ -10,6 +9,9 @@ from svasym import rates, verify
 from svasym.errors import ATMWarning, RangeError, ValidationError
 from svasym.model import ModelParams, Regime, VolFnSpec
 from svasym.simulate import McConfig
+
+from golden import digest
+
 
 CONST = ModelParams(m=0.0, nu=math.sqrt(2.0), beta=0.0, rho=0.0, r=0.0,
                     sigma=VolFnSpec.constant(0.2), y0=0.0)
@@ -178,17 +180,10 @@ H_TABLE = X0 + np.linspace(-1.0, 1.0, 301)
 PAYOFF = -0.5 * (H_TABLE - X0) ** 2 + 0.1 * np.sin(3.0 * H_TABLE)
 
 
-def _digest(*parts) -> str:
-    h = hashlib.sha256()
-    for part in parts:
-        h.update(np.ascontiguousarray(part, dtype="<f8").tobytes())
-    return h.hexdigest()[:16]
-
-
 def _rate_curve(regime):
     c = rates.rate_curve(regime, X0, T_GOLD, X_GOLD, sigma_bar_sq=SBAR2_GOLD,
                          legendre=LEG_GOLD)
-    return _digest(c.x_grid, c.values)
+    return digest(c.x_grid, c.values)
 
 
 def _lax(regime):
@@ -196,17 +191,17 @@ def _lax(regime):
     kw = dict(sigma_bar_sq=SBAR2_GOLD, legendre=LEG_GOLD)
     vals = rates.lax_solution(H_TABLE, PAYOFF, T_GOLD, x, regime, **kw)
     one = rates.lax_solution(H_TABLE, PAYOFF, T_GOLD, x[2], regime, **kw)
-    return _digest(vals, [one])
+    return digest(vals, [one])
 
 
 def _smile(regime):
     sm = rates.implied_vol_curve(X0, regime, T_GOLD, LOGK_GOLD,
                                  sigma_bar_sq=SBAR2_GOLD, legendre=LEG_GOLD)
-    return _digest(sm.logK_grid, sm.values, [sm.atm_value])
+    return digest(sm.logK_grid, sm.values, [sm.atm_value])
 
 
 GOLDEN = {
-    "rate_i2": (lambda: _digest(
+    "rate_i2": (lambda: digest(
         rates.rate_i2(X_GOLD, X0, T_GOLD, LEG_GOLD),
         [rates.rate_i2(X_GOLD[5], X0, T_GOLD, LEG_GOLD)]), "0bf5961b97bd8553"),
     "rate_curve_fast": (lambda: _rate_curve(Regime.FAST), "ac99a605d5718bb0"),
@@ -221,7 +216,7 @@ GOLDEN = {
 
 class TestTransformGoldens:
     @pytest.mark.parametrize("name", sorted(GOLDEN))
-    def test_digest(self, name):
+    def testdigest(self, name):
         run, expected = GOLDEN[name]
         assert run() == expected
 

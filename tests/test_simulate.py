@@ -1,4 +1,3 @@
-import hashlib
 import math
 import os
 import struct
@@ -11,6 +10,9 @@ import pytest
 from svasym import simulate
 from svasym.errors import StabilityError, ValidationError, VarianceWarning
 from svasym.model import ModelParams, Regime, VolFnSpec
+
+from golden import digest
+
 
 CONST = ModelParams(m=0.0, nu=math.sqrt(2.0), beta=0.0, rho=0.0, r=0.0,
                     sigma=VolFnSpec.constant(0.2), y0=0.0)
@@ -224,24 +226,17 @@ H_GRID = np.linspace(-6.0, 6.0, 241)
 H_TABLE = (H_GRID, 0.2 * H_GRID + 0.05 * np.sin(H_GRID))
 
 
-def _digest(*parts) -> str:
-    h = hashlib.sha256()
-    for part in parts:
-        h.update(np.ascontiguousarray(part, dtype="<f8").tobytes())
-    return h.hexdigest()[:16]
-
-
 def _xy(params, regime, eps):
     mc = simulate.McConfig(paths=GOLDEN_PATHS, seed=101)
     b = simulate.simulate_xy(params, regime, eps, 0.05, mc)
-    return _digest(b.x, b.y, [b.truncated_fraction, b.n_steps, b.dt])
+    return digest(b.x, b.y, [b.truncated_fraction, b.n_steps, b.dt])
 
 
 def _tilted(params, p, h=H_TABLE):
     mc = simulate.McConfig(paths=GOLDEN_PATHS, steps_per_unit_time=100, seed=102)
     tb = simulate.simulate_tilted(params, 0.12, mc, p=p, h=h,
                                   y_start=params.y0 + 0.1, burn_in=0.03)
-    return _digest(tb.y, tb.int_sigma_sq, tb.int_sigma_dw2, [tb.duration])
+    return digest(tb.y, tb.int_sigma_sq, tb.int_sigma_dw2, [tb.duration])
 
 
 def _ergodic(params, phi):
@@ -254,7 +249,7 @@ def _ergodic(params, phi):
         warnings.simplefilter("always")
         est = simulate.ergodic_average(params, phi, 0.2, mc)
     n_warn = sum(issubclass(w.category, VarianceWarning) for w in caught)
-    return _digest([est.value, est.stderr, n_warn])
+    return digest([est.value, est.stderr, n_warn])
 
 
 GOLDEN = {
@@ -280,7 +275,7 @@ GOLDEN = {
 class TestGoldenOutputs:
     @pytest.mark.parametrize("threads", ["1", "2"])
     @pytest.mark.parametrize("name", sorted(GOLDEN))
-    def test_digest(self, name, threads, monkeypatch):
+    def testdigest(self, name, threads, monkeypatch):
         monkeypatch.setenv("SVASYM_THREADS", threads)
         run, expected = GOLDEN[name]
         assert run() == expected
@@ -303,3 +298,17 @@ TIME_CALLS = {
 def test_time_must_be_finite_and_positive(name, t):
     with pytest.raises(ValidationError, match="^[tT] must be finite and > 0"):
         TIME_CALLS[name](t)
+
+
+# A run past the step or path cap is a ValidationError before anything is
+# allocated, not an endless loop or a job list of 1e295 blocks.
+@pytest.mark.parametrize("name", sorted(TIME_CALLS))
+def test_step_count_is_capped(name):
+    with pytest.raises(ValidationError, match="time steps exceed the cap"):
+        TIME_CALLS[name](1e300)
+
+
+@pytest.mark.parametrize("paths", [simulate.MAX_PATHS + 1, 10 ** 300])
+def test_path_count_is_capped(paths):
+    with pytest.raises(ValidationError, match="paths must lie in "):
+        simulate.simulate_tilted(OU, 1.0, simulate.McConfig(paths=paths))

@@ -204,10 +204,10 @@ class TestRegimeCompare:
 
 
 class TestRunAcceptance:
-    def test_report_shape_and_json(self, tmp_path):
+    def test_report_shape_and_json(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(verify, "CRITERIA", {"C1": verify.CRITERIA["C1"]})
         out = tmp_path / "acceptance.json"
-        report = verify.run_acceptance({"seed": 42, "criteria": ["C1"],
-                                        "out": str(out)})
+        report = verify.run_acceptance(42, out=str(out))
         ids = [e["criterion_id"] for e in report["criteria"]]
         assert ids == ["C0", "C1"]
         for entry in report["criteria"]:
@@ -219,18 +219,18 @@ class TestRunAcceptance:
         def boom(seed):
             time.sleep(0.05)
             raise RuntimeError("synthetic failure")
-        monkeypatch.setitem(verify.CRITERIA, "C1", boom)
-        report = verify.run_acceptance({"seed": 42, "criteria": ["C1"]})
+        monkeypatch.setattr(verify, "CRITERIA", {"C1": boom})
+        report = verify.run_acceptance(42)
         entry = next(e for e in report["criteria"]
                      if e["criterion_id"] == "C1")
         assert not entry["pass"]
         # the crash keeps the time it took, and the run's seed
         assert entry["runtime_s"] >= 0.05 and entry["seed"] == 42
 
-    def test_model_validate_cannot_probe_is_a_c0_failure(self):
+    def test_model_validate_cannot_probe_is_a_c0_failure(self, monkeypatch):
+        monkeypatch.setattr(verify, "CRITERIA", {})
         model = replace(verify.fixture_ou(), sigma=VolFnSpec(kind="bogus"))
-        report = verify.run_acceptance({"seed": 7, "criteria": [],
-                                        "model": model})
+        report = verify.run_acceptance(7, model=model)
         (entry,) = report["criteria"]
         assert entry["criterion_id"] == "C0" and not entry["pass"]
         assert entry["description"].startswith("criterion crashed")
