@@ -147,9 +147,14 @@ def _rayleigh_top(params: ModelParams, p: float, y: np.ndarray,
     """
     w = density_on_grid(params, p, y).values
     n = y.size
+    # trapezoid mass weights
+    tau = np.empty(n)
     dy = np.diff(y)
-    tau = 0.5 * (np.append(dy, 0.0) + np.insert(dy, 0, 0.0))  # trapezoid weights
-    mass = np.maximum(w * tau, 1e-300)
+    tau[0] = 0.5 * dy[0]
+    tau[-1] = 0.5 * dy[-1]
+    tau[1:-1] = 0.5 * (dy[:-1] + dy[1:])
+    mass = w * tau
+    mass = np.maximum(mass, 1e-300)
 
     v = 0.5 * p * p * sigma_eval(params.sigma, y, beta=params.beta) ** 2
     y_mid = 0.5 * (y[1:] + y[:-1])
@@ -247,10 +252,9 @@ def hbar0_direct(params: ModelParams, p: float, T: float, mc: McConfig) -> McEst
 
 
 def hbar0_mc(params: ModelParams, p: float, T: float, mc: McConfig) -> HbarMcResult:
-    """``hbar0_direct`` and, on sub-stream 1 of ``mc.seed``, the martingale
-    form: the same expectation on the untilted process through the
-    exponential martingale of the drift tilt, whose functional is
-    (p^2(1-rho^2)/2) int sigma^2 ds + rho p int sigma dW2."""
+    """``hbar0_direct`` and the martingale form on sub-stream 1: the same
+    expectation on the untilted process, through the exponential martingale
+    of the drift tilt: (p^2(1-rho^2)/2) int sigma^2 ds + rho p int sigma dW2."""
     direct = hbar0_direct(params, p, T, mc)
     p = float(p)  # checked finite by hbar0_direct
     martingale, _ = _growth_rate(

@@ -74,10 +74,11 @@ def _cumulative_simpson(f: Callable[[np.ndarray], np.ndarray], y: np.ndarray) ->
 
 
 def _log_speed_density(params: ModelParams, pv: float, y: np.ndarray) -> np.ndarray:
-    """log m_p on the grid, up to an additive constant (anchored at y[0])."""
+    """log m_p on the grid, shifted to a maximum of 0."""
     g = lambda z: scale_log_integrand(params, z, pv)
     cum = _cumulative_simpson(g, y)
-    return cum - 2.0 * params.beta * np.log(np.abs(y)) if params.beta != 0.0 else cum
+    logw = cum - 2.0 * params.beta * np.log(np.abs(y)) if params.beta != 0.0 else cum
+    return logw - np.max(logw)
 
 
 def _make_grid(params: ModelParams, y_lo: float, y_hi: float, n: int) -> np.ndarray:
@@ -123,7 +124,6 @@ def _choose_window(params: ModelParams, pv: float):
     for _ in range(MAX_EXPANSIONS):
         y = _make_grid(params, y_lo, y_hi, 1025)
         logw = _log_speed_density(params, pv, y)
-        logw -= np.max(logw)
         w = np.exp(logw)
         total = trapezoid(w, y)
         left, right = _edge_tail_bounds(y, w, logw, left_open=(params.beta == 0.0))
@@ -186,8 +186,7 @@ def density_on_grid(params: ModelParams, p, y: np.ndarray) -> DensityTable:
     """Invariant density normalized on a caller-supplied grid."""
     pv = float(p)
     y = np.asarray(y, dtype=float)
-    logw = _log_speed_density(params, pv, y)
-    w = np.exp(logw - np.max(logw))
+    w = np.exp(_log_speed_density(params, pv, y))
     z = float(trapezoid(w, y))
     return DensityTable(grid=y, values=w / z, norm_constant=z)
 

@@ -186,10 +186,10 @@ def validate(params: ModelParams) -> ValidationReport:
     """
     clauses = []
 
-    # nu * nu, not nu ** 2: ** raises on overflow
+    nu_sq = params.nu * params.nu  # not nu ** 2, which raises on overflow
     field_ok = (params.nu > 0 and -1.0 < params.rho < 1.0 and params.r >= 0.0
                 and math.isfinite(params.m) and math.isfinite(params.y0)
-                and math.isfinite(params.x0) and math.isfinite(params.nu * params.nu))
+                and math.isfinite(params.x0) and math.isfinite(nu_sq))
     clauses.append(ClauseResult(
         "fields", field_ok,
         "nu > 0, rho in (-1, 1), r >= 0, finite m/y0/x0" if field_ok
@@ -206,11 +206,11 @@ def validate(params: ModelParams) -> ValidationReport:
         clauses.append(ClauseResult("positivity", True,
                                     "beta = 0: state space is the whole line, no condition"))
     elif beta == 0.5:
-        ok = params.m > params.nu ** 2 / 2 and params.y0 > 0
+        ok = params.m > nu_sq / 2 and params.y0 > 0
         clauses.append(ClauseResult(
             "positivity", ok,
-            f"m = {params.m} > nu^2/2 = {params.nu ** 2 / 2:g} and y0 > 0" if ok
-            else f"need m > nu^2/2 = {params.nu ** 2 / 2:g} and y0 > 0 "
+            f"m = {params.m} > nu^2/2 = {nu_sq / 2:g} and y0 > 0" if ok
+            else f"need m > nu^2/2 = {nu_sq / 2:g} and y0 > 0 "
                  f"(got m = {params.m}, y0 = {params.y0})"))
     else:
         ok = params.m > 0 and params.y0 > 0

@@ -159,11 +159,13 @@ def _check_mc(params: ModelParams, mc: McConfig) -> None:
             "(the factor is stiff near the boundary)")
 
 
-def _step_count(n: float) -> int:
-    """ceil(n), at least 1; ValidationError past MAX_STEPS (and at inf)."""
-    if not n <= MAX_STEPS:
-        raise ValidationError(f"{n:.3g} time steps exceed the cap of {MAX_STEPS}")
-    return max(1, int(math.ceil(n)))
+def _time_grid(t: float, dt: float) -> Tuple[int, float]:
+    """(n, t / n) for the fewest steps n of at most dt that cover t;
+    ValidationError past MAX_STEPS."""
+    if not t / dt <= MAX_STEPS:
+        raise ValidationError(f"{t / dt:.3g} time steps exceed the cap of {MAX_STEPS}")
+    n = max(1, int(math.ceil(t / dt)))
+    return n, t / n
 
 
 class _FactorStepper:
@@ -284,9 +286,7 @@ def simulate_xy(params: ModelParams, regime: Regime, eps: float, t: float,
         raise ValidationError("eps must lie in (0, 1]")
     delta = eps ** regime.r
     lam = eps / delta
-    dt = (delta / eps) / mc.steps_per_unit_time
-    n_steps = _step_count(t / dt)
-    dt = t / n_steps
+    n_steps, dt = _time_grid(t, (delta / eps) / mc.steps_per_unit_time)
     sq_dt = math.sqrt(dt)
 
     def run(rng: np.random.Generator, n: int):
@@ -313,9 +313,7 @@ def _tilted_loop(params: ModelParams, T: float, mc: McConfig, p: float, h,
     _check_time(T, "T")
     if not 0.0 <= burn_in < T:
         raise ValidationError("burn_in must lie in [0, T)")
-    dt = 1.0 / mc.steps_per_unit_time
-    n_steps = _step_count(T / dt)
-    dt = T / n_steps
+    n_steps, dt = _time_grid(T, 1.0 / mc.steps_per_unit_time)
     y0 = params.y0 if y_start is None else float(y_start)
     if h is not None:
         grid = np.asarray(h[0], dtype=float)

@@ -174,7 +174,8 @@ def ldp_tail(params: ModelParams, regime: Regime, x: float, t: float,
 
     finite = [(q.eps, q.estimate) for q in points if math.isfinite(q.estimate)]
     if len(finite) >= 3:
-        ee, vv = np.array(finite).T
+        ee = np.array([f[0] for f in finite])
+        vv = np.array([f[1] for f in finite])
         rho_s = float(spearmanr(vv, ee).statistic)
         # approaching the limit from below means estimates rise as eps falls
         expected_sign = -1.0 if vv[0] < predicted else 1.0
@@ -527,7 +528,6 @@ def run_acceptance(seed: int = 42, *, model: Optional[ModelParams] = None,
     report; C0 also validates ``model``, if given, alongside the fixtures.
     ``out`` is a path for the JSON report.  Failures are recorded, never
     raised."""
-    seed = int(seed)
     run = [("C0", lambda _: _c0_validation(model)), *CRITERIA.items()]
     entries = []
     for cid, fn in run:

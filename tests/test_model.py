@@ -116,10 +116,13 @@ class TestValidate:
         assert "fields" in failed
 
     def test_nu_square_must_be_finite(self):
-        # nu ** 2 raised OverflowError in the numerical layers past 1.3e154
+        # nu ** 2 raises OverflowError past 1.3e154, in the numerical layers
+        # and in the positivity clause at beta = 1/2
         assert validate(ou_params(nu=1e150)).passed
         report = validate(ou_params(nu=1e155))
         assert {c.clause for c in report if not c.passed} == {"fields"}
+        report = validate(cir_params(nu=1e155))
+        assert {c.clause for c in report if not c.passed} == {"fields", "positivity"}
 
 
 class TestDoc:
