@@ -317,7 +317,7 @@ GOLDEN = {
 
 class TestTransformGoldens:
     @pytest.mark.parametrize("name", sorted(GOLDEN))
-    def testdigest(self, name):
+    def test_digest(self, name):
         run, expected = GOLDEN[name]
         assert run() == expected
 
@@ -384,7 +384,7 @@ EIGEN_GOLDEN = {
 
 class TestEigenGoldens:
     @pytest.mark.parametrize("name", sorted(EIGEN_GOLDEN))
-    def testdigest(self, name):
+    def test_digest(self, name):
         run, expected = EIGEN_GOLDEN[name]
         assert run() == expected
 
@@ -426,7 +426,7 @@ MC_GOLDEN = {
 class TestMcGoldens:
     @pytest.mark.parametrize("threads", ["1", "2"])
     @pytest.mark.parametrize("name", sorted(MC_GOLDEN))
-    def testdigest(self, name, threads, monkeypatch):
+    def test_digest(self, name, threads, monkeypatch):
         monkeypatch.setenv("SVASYM_THREADS", threads)
         run, expected = MC_GOLDEN[name]
         assert run() == expected

@@ -161,6 +161,6 @@ GOLDEN = {
 
 class TestGoldenOutputs:
     @pytest.mark.parametrize("name", sorted(GOLDEN))
-    def testdigest(self, name):
+    def test_digest(self, name):
         run, expected = GOLDEN[name]
         assert run() == expected

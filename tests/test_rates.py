@@ -216,7 +216,7 @@ GOLDEN = {
 
 class TestTransformGoldens:
     @pytest.mark.parametrize("name", sorted(GOLDEN))
-    def testdigest(self, name):
+    def test_digest(self, name):
         run, expected = GOLDEN[name]
         assert run() == expected
 

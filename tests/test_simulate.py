@@ -275,7 +275,7 @@ GOLDEN = {
 class TestGoldenOutputs:
     @pytest.mark.parametrize("threads", ["1", "2"])
     @pytest.mark.parametrize("name", sorted(GOLDEN))
-    def testdigest(self, name, threads, monkeypatch):
+    def test_digest(self, name, threads, monkeypatch):
         monkeypatch.setenv("SVASYM_THREADS", threads)
         run, expected = GOLDEN[name]
         assert run() == expected
