@@ -179,6 +179,25 @@ def _sigma_into(spec: VolFnSpec, y: np.ndarray, out: np.ndarray) -> np.ndarray:
     return out
 
 
+def _sigma_sq_into(spec: VolFnSpec, y: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """Write sigma(y)^2 into ``out`` (which must not alias ``y``) and return it.
+
+    power_abs takes c^2 (|y| + a)^(2q) in one power: |y| when 2q = 1, a
+    square root when 2q = 1/2.  The other kinds square sigma in place.
+    """
+    if spec.kind != "power_abs":
+        _sigma_into(spec, y, out)
+        return np.multiply(out, out, out=out)
+    np.abs(y, out=out)
+    if spec.a != 0.0:
+        out += spec.a
+    if spec.q != 0.5:  # the power 1 is exact
+        out **= 2.0 * spec.q
+    if spec.c != 1.0:
+        out *= spec.c * spec.c
+    return out
+
+
 def validate(params: ModelParams) -> ValidationReport:
     """Check the model against the admissibility rules, clause by clause.
 

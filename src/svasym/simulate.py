@@ -17,6 +17,12 @@ blocks are scheduled across threads (worker count comes from
 SVASYM_THREADS, 0 or unset meaning auto).  A computation that runs several
 simulations from one seed gives simulation k the seed ``substream_seed(seed,
 k)``, never seed arithmetic.
+
+The tilted factor process (``simulate_tilted``) accumulates
+I = int sigma^2 ds and J = int sigma dW2.  Every reader of J multiplies it
+by rho, and at rho = 0 the tilt drift is 0 too, so there J reads 0 and is
+never accumulated, and sigma^2 is evaluated directly (c^2 (|y| + a)^(2q)
+for power_abs: |y| for sigma = |y|^(1/2)) instead of as sigma squared.
 """
 
 from __future__ import annotations
@@ -33,7 +39,8 @@ import numpy as np
 from scipy.special import logsumexp
 
 from .errors import StabilityError, ValidationError, VarianceWarning
-from .model import ModelParams, Regime, _check_time, _sigma_into, _write_csv
+from .model import (ModelParams, Regime, _check_time, _sigma_into, _sigma_sq_into,
+                    _write_csv)
 
 BLOCK_PATHS = 65536
 # work caps, far above the largest pinned run (C8: 1e6 paths, 8574 steps)
@@ -107,7 +114,7 @@ class TiltedBatch:
 
     y: np.ndarray
     int_sigma_sq: np.ndarray   # accumulated after burn-in
-    int_sigma_dw2: np.ndarray  # int sigma(Y) dW2, after burn-in
+    int_sigma_dw2: np.ndarray  # int sigma(Y) dW2, after burn-in; 0 at rho = 0
     duration: float            # accumulation window length (T - burn_in)
     seed: int
 
@@ -180,7 +187,8 @@ class _FactorStepper:
     drift rho p sigma(y) nu |y|^beta and an ``h`` table (grid, h') the
     Girsanov shift nu^2 |y|^{2 beta} h'(y); a zero tilt is skipped.  Every
     operation keeps the operand order of the plain array expression, so the
-    results are bit-identical to it.
+    results are bit-identical to it; passes that keep every bit (y - m and
+    + m at m = 0, times lam at lam = 1) are skipped.
     """
 
     def __init__(self, params: ModelParams, rng: np.random.Generator, n: int,
@@ -203,14 +211,23 @@ class _FactorStepper:
             self.yp, self._ys, self._ypb, self._d = (np.empty(n) for _ in range(4))
             self._noise = params.nu * math.sqrt(lam * dt)
 
+    def _state(self) -> np.ndarray:
+        """The state sigma is evaluated at: y itself at beta = 0, else y
+        clamped at 1e-300, so sigma_eval's domain scan is skipped."""
+        return self.y if self.params.beta == 0.0 else np.maximum(self.y, 1e-300, out=self._ys)
+
     def sigma(self) -> np.ndarray:
-        """sigma at the clamped state of the current step, evaluated once.
-        That state is never <= 0, so sigma_eval's domain scan is skipped."""
+        """sigma at the clamped state of the current step, evaluated once."""
         if not self._sig_ok:
-            ys = self.y if self.params.beta == 0.0 else np.maximum(self.y, 1e-300, out=self._ys)
-            _sigma_into(self.params.sigma, ys, self._sig)
+            _sigma_into(self.params.sigma, self._state(), self._sig)
             self._sig_ok = True
         return self._sig
+
+    def sigma_sq(self) -> np.ndarray:
+        """sigma^2 at the clamped state, written over the sigma buffer, which
+        the caller may then scale in place; sigma() evaluates afresh."""
+        self._sig_ok = False
+        return _sigma_sq_into(self.params.sigma, self._state(), self._sig)
 
     def terminal(self, *also: np.ndarray) -> np.ndarray:
         """The final state, clamped at 0 when beta != 0; raises StabilityError
@@ -249,12 +266,16 @@ class _FactorStepper:
         prm, y = self.params, self.y
         if prm.beta == 0.0:  # m + (y - m) a + extra (1 - a) / lam + noise W2
             extra = self._extra_drift()
-            y -= prm.m
-            y *= self._a
-            y += prm.m
+            if prm.m == 0.0:  # y - 0 and y + 0 are y, but for the sign of a 0
+                y *= self._a
+            else:
+                y -= prm.m
+                y *= self._a
+                y += prm.m
             if extra is not None:
                 extra *= 1.0 - self._a
-                extra /= self.lam
+                if self.lam != 1.0:
+                    extra /= self.lam
                 y += extra
             if prm.nu > 0.0:
                 w2 *= self._noise
@@ -262,11 +283,14 @@ class _FactorStepper:
             return
         # y + (lam (m - yp) + extra) dt + noise yp^beta W2
         ypb = self._ypb
-        np.copyto(ypb, self.yp)
-        ypb **= prm.beta  # the operator, like yp ** beta, takes sqrt at beta = 1/2
+        if prm.beta == 0.5:  # yp ** 0.5 is numpy's sqrt fast path
+            np.sqrt(self.yp, out=ypb)
+        else:
+            np.power(self.yp, prm.beta, out=ypb)
         extra = self._extra_drift()
         d = np.subtract(prm.m, self.yp, out=self._d)
-        d *= self.lam
+        if self.lam != 1.0:
+            d *= self.lam
         if extra is not None:
             d += extra
         d *= self.dt
@@ -332,6 +356,7 @@ def simulate_tilted(params: ModelParams, T: float, mc: McConfig, *,
     ``h`` table (grid, values) adds the Girsanov shift nu^2 |y|^{2 beta}
     h'(y).  Accumulators (int sigma^2 ds, int sigma dW2) start after
     ``burn_in``; a non-finite state or accumulator raises StabilityError.
+    At rho = 0, int sigma dW2 is all zeros and sigma^2 is evaluated directly.
     """
     n_steps, dt, burn_steps, stepper = _tilted_loop(params, T, mc, p, h, y_start, burn_in)
     sq_dt = math.sqrt(dt)
@@ -340,7 +365,13 @@ def simulate_tilted(params: ModelParams, T: float, mc: McConfig, *,
         st = stepper(rng, n)
         iss, isw2 = np.zeros(n), np.zeros(n)
         for k in st.steps(n_steps):
-            if k >= burn_steps:
+            if k < burn_steps:
+                continue
+            if params.rho == 0.0:  # J is read only times rho: it stays 0
+                sig_sq = st.sigma_sq()
+                sig_sq *= dt
+                iss += sig_sq
+            else:
                 sig = st.sigma()
                 iss += sig * sig * dt
                 isw2 += sig * sq_dt * st.w[0]
