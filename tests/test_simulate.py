@@ -263,7 +263,7 @@ GOLDEN = {
     # rho = 0 with p < 0 gives a -0.0 tilt factor and no h table
     "tilted_cir_untilted": (
         lambda: _tilted(replace(CIR_TRUNC, rho=0.0), -1.0, h=None),
-        "5242db6a1cd17bfa"),
+        "2fa587f4d5be57e3"),
     "tilted_tabulated": (lambda: _tilted(TAB_BETA, 0.5), "8e816aaf3467e75d"),
     "ergodic_ou": (lambda: _ergodic(OU_RHO, lambda y: np.abs(y)),
                    "17daf008593a38da"),
