@@ -369,6 +369,10 @@ def dispatch(argv) -> int:
     except (ValidationError, SvasymError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    except MemoryError as exc:  # simulate.MAX_PATHS bounds the work, not the memory
+        detail = f" ({exc})" if str(exc) else ""
+        print(f"error: out of memory; lower mc.paths{detail}", file=sys.stderr)
+        return 1
 
 
 def main() -> None:

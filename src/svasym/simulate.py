@@ -76,16 +76,19 @@ class PathBatch:
     dt: float
 
     def summary(self) -> dict:
-        s = {
-            "paths": int(self.x.size),
-            "mean_x": float(np.mean(self.x)),
-            "var_x": float(np.var(self.x)),
-            "mean_y": float(np.mean(self.y)),
-            "truncated_fraction": float(self.truncated_fraction),
-            "seed": int(self.seed),
-            "n_steps": int(self.n_steps),
-            "dt": float(self.dt),
-        }
+        """The summary record; StabilityError, and no RuntimeWarning, if an
+        entry overflows or is otherwise not finite."""
+        with np.errstate(over="ignore", invalid="ignore"):
+            s = {
+                "paths": int(self.x.size),
+                "mean_x": float(np.mean(self.x)),
+                "var_x": float(np.var(self.x)),
+                "mean_y": float(np.mean(self.y)),
+                "truncated_fraction": float(self.truncated_fraction),
+                "seed": int(self.seed),
+                "n_steps": int(self.n_steps),
+                "dt": float(self.dt),
+            }
         bad = [key for key, value in s.items() if not math.isfinite(value)]
         if bad:
             raise StabilityError(f"non-finite summary: {', '.join(bad)}")

@@ -511,14 +511,47 @@ class TestHugeValue:
         assert not out.exists() or not any(out.iterdir())
 
 
+def _module_env():
+    src = str(Path(svasym.__file__).resolve().parent.parent)
+    return {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")]))}
+
+
+def test_overflowing_summary_prints_only_the_error_line(tmp_path):
+    # every warning shown: the variance's overflow is the error, not a
+    # RuntimeWarning ahead of it
+    path = tmp_path / "huge.cfg"
+    path.write_text(_with_line("m = 1e300", OU_CFG)[0], encoding="utf-8")
+    out = tmp_path / "out"
+    done = subprocess.run(
+        [sys.executable, "-W", "always", "-m", "svasym.cli", "simulate",
+         "--config", str(path), "--out", str(out), "--regime", "2"],
+        env=_module_env(), capture_output=True, text=True, timeout=120)
+    assert done.returncode == 1
+    assert done.stderr == "error: non-finite summary: var_x\n"
+    assert not any(out.iterdir())
+
+
+def test_out_of_memory_exits_1_naming_paths(tmp_path, capsys, monkeypatch):
+    def exhausted(*args, **kwargs):
+        raise MemoryError("Unable to allocate 763. MiB")
+
+    monkeypatch.setattr(simulate, "simulate_xy", exhausted)
+    path = tmp_path / "model.cfg"
+    path.write_text(OU_CFG, encoding="utf-8")
+    out = tmp_path / "out"
+    assert cli.dispatch(["simulate", "--config", str(path), "--out", str(out),
+                         "--raw"]) == 1
+    assert capsys.readouterr().err == (
+        "error: out of memory; lower mc.paths (Unable to allocate 763. MiB)\n")
+    assert not any(out.iterdir())
+
+
 def test_module_entry_point_runs_the_command(tmp_path):
     # python -m svasym.cli dispatches like the svasym script
-    src = str(Path(svasym.__file__).resolve().parent.parent)
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
-        filter(None, [src, os.environ.get("PYTHONPATH")]))}
     done = subprocess.run(
         [sys.executable, "-m", "svasym.cli", "validate",
          "--config", str(tmp_path / "absent.cfg")],
-        env=env, capture_output=True, text=True, timeout=120)
+        env=_module_env(), capture_output=True, text=True, timeout=120)
     assert done.returncode == 1
     assert done.stderr.startswith("error: ")
