@@ -189,6 +189,28 @@ class TestTiltedAndErgodic:
             simulate.simulate_tilted(OU, 1.0, mc, burn_in=1.0)
 
 
+class TestUncorrelatedTilted:
+    """At rho = 0 simulate_tilted evaluates sigma^2 directly and leaves
+    int sigma dW2 at 0.  rho = 1e-300 with p = 0 runs the same factor with
+    the general accumulators, so only the rounding of int sigma^2 differs."""
+
+    @pytest.mark.parametrize("threads", ["1", "2"])
+    @pytest.mark.parametrize("params", [OU, CIR], ids=["ou", "cir"])
+    def test_matches_vanishing_rho(self, params, threads, monkeypatch):
+        monkeypatch.setenv("SVASYM_THREADS", threads)
+        mc = simulate.McConfig(paths=simulate.BLOCK_PATHS + 512,
+                               steps_per_unit_time=100, seed=5)
+        lean = simulate.simulate_tilted(params, 1.0, mc, p=0.7, burn_in=0.1)
+        general = simulate.simulate_tilted(replace(params, rho=1e-300), 1.0, mc,
+                                           burn_in=0.1)
+        assert np.array_equal(lean.y, general.y)
+        assert np.all(general.int_sigma_sq > 0.0)
+        np.testing.assert_allclose(lean.int_sigma_sq, general.int_sigma_sq,
+                                   rtol=1e-14, atol=0.0)
+        assert not np.any(lean.int_sigma_dw2)
+        assert np.any(general.int_sigma_dw2)
+
+
 class TestEstimators:
     def test_log_mean_exp_matches_direct(self):
         rng = np.random.default_rng(0)

@@ -118,6 +118,22 @@ class TestLdpTail:
         assert hashlib.sha256(doc.encode()).hexdigest()[:16] == "e44287249f7b6e9f"
 
 
+@pytest.mark.parametrize("threads", ["1", "2"])
+def test_uncorrelated_tail_matches_vanishing_rho(threads, monkeypatch):
+    # at rho = 0 J is never accumulated; rho = 1e-300 reads J and the
+    # general int sigma^2, and its estimates differ only by rounding
+    monkeypatch.setenv("SVASYM_THREADS", threads)
+    params = verify.fixture_ou()
+    mc = simulate.McConfig(paths=simulate.BLOCK_PATHS + 512,
+                           steps_per_unit_time=20, seed=9)
+    a, b = (verify.ldp_tail(replace(params, rho=rho), Regime.ULTRA_FAST, 0.3,
+                            1.0, (0.6, 0.5), mc, sigma_bar_sq=0.8)
+            for rho in (0.0, 1e-300))
+    for pa, pb in zip(a.points, b.points):
+        assert -math.inf < pa.estimate < 0.0
+        assert pa.estimate == pytest.approx(pb.estimate, rel=1e-12, abs=0.0)
+
+
 def _golden_report():
     # two path blocks, correlated factor, lower tail
     params = replace(verify.fixture_ou(), rho=-0.5, r=0.02)
