@@ -191,7 +191,7 @@ class _FactorStepper:
     Girsanov shift nu^2 |y|^{2 beta} h'(y); a zero tilt is skipped.  Every
     operation keeps the operand order of the plain array expression, so the
     results are bit-identical to it; passes that keep every bit (y - m and
-    + m at m = 0, times lam at lam = 1) are skipped.
+    + m at m = 0, times or over lam at lam = 1) are skipped.
     """
 
     def __init__(self, params: ModelParams, rng: np.random.Generator, n: int,
