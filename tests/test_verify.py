@@ -90,6 +90,20 @@ class TestLdpTail:
             assert q.p_hat == pytest.approx(closed, rel=1e-12)
             assert q.hits == q.paths and q.ci_lo == q.ci_hi == q.estimate
 
+    def test_unreachable_target_has_zero_hits(self):
+        # sigma = 0 leaves X at x0, so no path reaches x: each point is
+        # -inf with the upper end of the 95% Wilson interval for 0 of n
+        params = replace(verify.fixture_ou(),
+                         sigma=VolFnSpec.tabulated((-1, 1), (0, 0), 0))
+        mc = simulate.McConfig(paths=1000, steps_per_unit_time=50, seed=3)
+        report = verify.ldp_tail(params, Regime.ULTRA_FAST, 0.1, 1.0,
+                                 (0.5, 0.4), mc, sigma_bar_sq=0.5)
+        for q, hi in zip(report.points, (-2.7828685912818214, -2.226294873025457)):
+            assert q.hits == 0 and q.undersampled
+            assert q.estimate == q.ci_lo == -math.inf
+            assert q.ci_hi == hi
+        assert report.verdict == "FAIL"
+
     def test_eps_points_use_independent_substreams(self):
         # with seed + k, point 1 of seed s and point 0 of seed s + 1 shared
         # one stream and so one estimate
