@@ -17,7 +17,7 @@ from .hamiltonian import (HamiltonianCurve, LegendreCurve, build_curve,
 from .rates import (RateCurve, SmileCurve, implied_vol_curve, lax_solution,
                     option_price_log_asymptote, rate_curve, rate_i2, rate_i4)
 from .simulate import (McConfig, McEstimate, PathBatch, ergodic_average,
-                       moment_check, simulate_tilted, simulate_xy)
+                       simulate_tilted, simulate_xy)
 from .verify import LdpReport, ldp_tail, regime_compare, run_acceptance
 
 __version__ = "0.1.0"

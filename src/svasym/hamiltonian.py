@@ -56,14 +56,7 @@ class HamiltonianCurve:
 
     p_grid: np.ndarray
     values: np.ndarray
-    method: str                  # "eigen" | "closed-form"
     errors: np.ndarray           # per-point error estimates
-
-    def __call__(self, p: float) -> float:
-        if not self.p_grid[0] <= p <= self.p_grid[-1]:
-            raise RangeError(f"p = {p} outside the sampled range "
-                             f"[{self.p_grid[0]}, {self.p_grid[-1]}]")
-        return float(np.interp(p, self.p_grid, self.values))
 
     def to_csv(self, path) -> None:
         _write_csv(path, ("p", "value", "err"),
@@ -311,8 +304,7 @@ def build_curve(params: ModelParams, p_grid: Sequence[float],
         worst = float(np.min(d2 + tol))
         raise ConvexityError(f"discrete convexity violated by {-worst:.3g} "
                              "beyond 3x the error estimates")
-    return HamiltonianCurve(p_grid=p_grid, values=values, method=method,
-                            errors=errors)
+    return HamiltonianCurve(p_grid=p_grid, values=values, errors=errors)
 
 
 def _sup_refined(x: np.ndarray, rows, m: int):

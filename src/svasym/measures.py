@@ -1,4 +1,4 @@
-"""Speed densities, invariant laws, averaged volatility, tilted generator.
+"""Speed densities, invariant laws, averaged volatility, factor generator.
 
 For the (possibly tilted) factor process with drift
 mu_p(y) = (m - y) + rho p sigma(y) nu |y|^beta the classical 1-D pair is
@@ -43,9 +43,6 @@ class DensityTable:
     grid: np.ndarray
     values: np.ndarray
     norm_constant: float
-
-    def integral(self) -> float:
-        return float(trapezoid(self.values, self.grid))
 
     def quad(self, integrand: np.ndarray) -> float:
         """Trapezoid quadrature of integrand * density over the window."""
@@ -243,12 +240,11 @@ def _second_derivative(h: np.ndarray, y: np.ndarray) -> np.ndarray:
     return hpp
 
 
-def apply_generator(params: ModelParams, p, y: np.ndarray, h) -> np.ndarray:
-    """Discrete tilted generator on y: mu_p h' + (nu^2/2) |y|^{2 beta} h''."""
+def apply_generator(params: ModelParams, y: np.ndarray, h) -> np.ndarray:
+    """Discrete generator of the (untilted) factor on y:
+    (m - y) h' + (nu^2/2) |y|^{2 beta} h''."""
     h = _check_grid(y, h)
-    pv = float(p)
-    s = sigma_eval(params.sigma, y, beta=params.beta)
-    mu = (params.m - y) + params.rho * pv * s * params.nu * np.abs(y) ** params.beta
     hp = np.gradient(h, y)
     hpp = _second_derivative(h, y)
-    return mu * hp + 0.5 * params.nu ** 2 * np.abs(y) ** (2.0 * params.beta) * hpp
+    return ((params.m - y) * hp
+            + 0.5 * params.nu ** 2 * np.abs(y) ** (2.0 * params.beta) * hpp)

@@ -139,7 +139,7 @@ def generator_residual(params: ModelParams, corrector: Corrector) -> np.ndarray:
     rhs = 0.5 * corrector.p ** 2 * (
         corrector.sigma_bar_sq
         - sigma_eval(params.sigma, corrector.grid, beta=params.beta) ** 2)
-    return apply_generator(params, 0.0, corrector.grid, corrector.chi) - rhs
+    return apply_generator(params, corrector.grid, corrector.chi) - rhs
 
 
 def core_residual_norm(params: ModelParams, corrector: Corrector) -> float:

@@ -42,11 +42,6 @@ class RateCurve:
     sigma_bar_sq: Optional[float] = None      # ingredient for r = 4
     legendre: Optional[LegendreCurve] = None  # ingredient for r = 2
 
-    def __call__(self, x: float) -> float:
-        if not self.x_grid[0] <= x <= self.x_grid[-1]:
-            raise RangeError(f"x = {x} outside the sampled range")
-        return float(np.interp(x, self.x_grid, self.values))
-
     def to_csv(self, path) -> None:
         _write_csv(path, ("x", "rate", "regime"),
                    (self.x_grid, self.values, [self.regime.r] * self.x_grid.size))

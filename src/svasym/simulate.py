@@ -32,8 +32,8 @@ import os
 import struct
 import warnings
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, replace
-from typing import Callable, Optional, Sequence, Tuple
+from dataclasses import dataclass
+from typing import Callable, Optional, Tuple
 
 import numpy as np
 from scipy.special import logsumexp
@@ -437,43 +437,3 @@ def log_mean_exp(samples: np.ndarray) -> Tuple[float, float]:
     z = np.exp(samples - np.max(samples))
     se = float(np.std(z, ddof=1) / (np.mean(z) * math.sqrt(n))) if n > 1 else 0.0
     return lme, se
-
-
-@dataclass(frozen=True)
-class MomentRow:
-    eps: float
-    value: float      # eps * log E[S^p]
-    stderr: float
-
-
-@dataclass(frozen=True)
-class MomentTable:
-    p: float
-    t: float
-    rows: Tuple[MomentRow, ...]
-    passed: bool      # |value| decreases toward 0 along the eps sequence
-
-
-def moment_check(params: ModelParams, regime: Regime, eps_sequence: Sequence[float],
-                 p: float, t: float, mc: McConfig) -> MomentTable:
-    """Estimate eps * log E[S^p] along a decreasing eps sequence.
-
-    The limit is 0; pass iff the magnitude decreases monotonically
-    (within one standard error) along the sequence.  Eps k runs on
-    sub-stream k of ``mc.seed``.
-    """
-    if p <= 1.0:
-        raise ValidationError("moment exponent p must exceed 1")
-    _check_mc(params, mc)
-    rows = []
-    for k, eps in enumerate(eps_sequence):
-        batch = simulate_xy(params, regime, eps, t,
-                            replace(mc, seed=substream_seed(mc.seed, k)))
-        lme, se = log_mean_exp(p * batch.x)
-        if se > 0.25:
-            warnings.warn(f"heavy-tailed moment estimate at eps={eps:g} "
-                          f"(relative SE {se:.1%})", VarianceWarning)
-        rows.append(MomentRow(eps=eps, value=eps * lme, stderr=eps * se))
-    passed = all(abs(b.value) <= abs(a.value) + a.stderr + b.stderr
-                 for a, b in zip(rows, rows[1:]))
-    return MomentTable(p=p, t=t, rows=tuple(rows), passed=passed)

@@ -25,7 +25,7 @@ from scipy.special import log_ndtr
 
 from . import hamiltonian as ham
 from . import measures, poisson, rates, simulate
-from .errors import ValidationError
+from .errors import ValidationError, VarianceWarning
 from .model import ModelParams, Regime, VolFnSpec, _check_time, validate
 
 WILSON_Z = 1.959963984540054  # two-sided 95%
@@ -75,17 +75,15 @@ class LdpReport:
         }
 
 
-def wilson_interval(hits: int, n: int) -> Tuple[float, float]:
-    """Wilson score interval (two-sided 95%, z = WILSON_Z) for a binomial
-    proportion."""
-    if n <= 0:
-        return 0.0, 1.0
+def _zero_hit_upper(n: int) -> float:
+    """Upper end of the Wilson score interval (two-sided 95%, z = WILSON_Z)
+    of a binomial proportion with 0 hits in n >= 1 trials, in the score
+    form center + half (the closed form z^2/(n + z^2) rounds differently)."""
     z = WILSON_Z
-    p = hits / n
     denom = 1.0 + z * z / n
-    center = (p + z * z / (2 * n)) / denom
-    half = z * math.sqrt(p * (1 - p) / n + z * z / (4 * n * n)) / denom
-    return max(center - half, 0.0), min(center + half, 1.0)
+    center = z * z / (2 * n) / denom
+    half = z * math.sqrt(z * z / (4 * n * n)) / denom
+    return min(center + half, 1.0)
 
 
 def _log_tail(params: ModelParams, regime: Regime, eps: float, t: float,
@@ -163,7 +161,7 @@ def ldp_tail(params: ModelParams, regime: Regime, x: float, t: float,
         p_hat = math.exp(log_p)
         if log_p == -math.inf:  # no path reaches x: 0 hits, Wilson upper bound
             hits, est, lo = 0, -math.inf, -math.inf
-            hi = eps * math.log(wilson_interval(0, mc.paths)[1])
+            hi = eps * math.log(_zero_hit_upper(mc.paths))
         else:
             hits = int(min(mc.paths, (1.0 - p_hat) / rel_se ** 2 if rel_se > 0 else math.inf))
             est, half = eps * log_p, eps * WILSON_Z * rel_se
@@ -369,7 +367,6 @@ def _c6_legendre_duality(seed: int) -> dict:
     spline = CubicSpline(coarse.p_grid, coarse.values)
     p_dense = np.linspace(coarse.p_grid[0], coarse.p_grid[-1], 4001)
     curve = ham.HamiltonianCurve(p_grid=p_dense, values=spline(p_dense),
-                                 method="eigen",
                                  errors=np.zeros_like(p_dense))
     slope = np.gradient(curve.values, p_dense)
     q_max = float(np.max(np.abs(slope))) * 0.98
@@ -491,25 +488,32 @@ def _c11_determinism(seed: int) -> dict:
 
 
 def _c12_moment_sanity(seed: int) -> dict:
+    """eps log E[S^2] at t = 1 in the ultra-fast regime, eps k on sub-stream
+    k of ``seed``: its magnitude decreases toward 0 (within one SE per
+    point) and matches the lognormal closed form within 3 SE."""
     params = fixture_bs()
-    eps_seq = (0.5, 0.25, 0.125)
     mc = simulate.McConfig(paths=100_000, steps_per_unit_time=50, seed=seed)
-    table = simulate.moment_check(params, Regime.ULTRA_FAST, eps_seq, 2.0,
-                                  1.0, mc)
     s0_sq = params.sigma.s0 ** 2
-    closed_ok = True
     rows = []
-    for row in table.rows:
+    for k, eps in enumerate((0.5, 0.25, 0.125)):
+        batch = simulate.simulate_xy(params, Regime.ULTRA_FAST, eps, 1.0,
+                                     replace(mc, seed=simulate.substream_seed(seed, k)))
+        lme, se = simulate.log_mean_exp(2.0 * batch.x)
+        if se > 0.25:
+            warnings.warn(f"heavy-tailed moment estimate at eps={eps:g} "
+                          f"(relative SE {se:.1%})", VarianceWarning)
         # lognormal closed form: eps log E[S^p] = eps(p x0 + eps t (p r +
         # sigma0^2 p(p-1)/2))
-        closed = row.eps ** 2 * 1.0 * (2.0 * params.r + s0_sq * 2.0 * 1.0 / 2.0)
-        rows.append({"eps": row.eps, "value": row.value, "closed": closed,
-                     "se": row.stderr})
-        closed_ok = closed_ok and abs(row.value - closed) <= 3.0 * row.stderr
-    ok = table.passed and closed_ok
+        closed = eps ** 2 * 1.0 * (2.0 * params.r + s0_sq * 2.0 * 1.0 / 2.0)
+        rows.append({"eps": eps, "value": eps * lme, "closed": closed,
+                     "se": eps * se})
+    monotone = all(abs(b["value"]) <= abs(a["value"]) + a["se"] + b["se"]
+                   for a, b in zip(rows, rows[1:]))
+    closed_ok = all(abs(row["value"] - row["closed"]) <= 3.0 * row["se"]
+                    for row in rows)
     return _entry("eps log E[S^2] decreases toward 0 and matches the "
                   "lognormal closed form within Monte Carlo error",
-                  rows, "lognormal closed form", "3 SE", ok)
+                  rows, "lognormal closed form", "3 SE", monotone and closed_ok)
 
 
 CRITERIA = {

@@ -8,6 +8,11 @@ A reference is a loaded name, an attribute, an imported name, or a string
 constant naming it (the benchmark's tracer keys spans by "module.name").
 Dunder names are read by the interpreter, and ``main`` by the console-script
 entry point, so neither needs a reader here.
+
+The same rule holds for the members of each module-level class of the
+package: every non-dunder method, property and annotated class attribute (a
+dataclass field) needs a production reader outside its own definition.  A
+keyword that sets a field in a constructor call reads nothing.
 """
 
 import ast
@@ -20,6 +25,19 @@ ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = ROOT / "src" / "svasym"
 READERS = ("src", "perfbench")
 ENTRY_POINTS = {"main"}
+
+# (module, class, member): reason it stays with no production reader
+EXEMPT = {
+    ("poisson", "Corrector", "chi_prime_left"):
+        "the left-anchored representation of chi', a diagnostic that ROADMAP "
+        "item 11 carries into the artifacts",
+    ("poisson", "Corrector", "chi_prime_right"):
+        "the right-anchored representation of chi', a diagnostic that "
+        "ROADMAP item 11 carries into the artifacts",
+    ("poisson", "GrowthBoundReport", "log_slope"):
+        "the growth check's log-log slope, a diagnostic that ROADMAP item 11 "
+        "carries into the artifacts",
+}
 
 
 def _references(node: ast.AST) -> Counter:
@@ -76,6 +94,25 @@ def _dead_names(module_tree: ast.Module, refs: Counter) -> list:
             and refs[name] - _references(node)[name] <= 0]
 
 
+def _members(tree: ast.Module):
+    """(class, member, node) for each method, property and annotated class
+    attribute of the module-level classes."""
+    for cls in tree.body:
+        if not isinstance(cls, ast.ClassDef):
+            continue
+        for node in cls.body:
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                yield cls.name, node.name, node
+            elif isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name):
+                yield cls.name, node.target.id, node
+
+
+def _dead_members(module_tree: ast.Module, refs: Counter) -> list:
+    return [(cls, name) for cls, name, node in _members(module_tree)
+            if not (name.startswith("__") and name.endswith("__"))
+            and refs[name] - _references(node)[name] <= 0]
+
+
 @pytest.fixture(scope="module")
 def reader_refs() -> Counter:
     return _reader_refs(ROOT)
@@ -86,6 +123,25 @@ def test_every_top_level_name_has_a_reader(module, reader_refs):
     dead = _dead_names(_parse(PACKAGE / f"{module}.py"), reader_refs)
     assert not dead, (f"svasym.{module} defines names no production code "
                       f"reads: {dead}")
+
+
+@pytest.mark.parametrize("module", sorted(p.stem for p in PACKAGE.glob("*.py")))
+def test_every_class_member_has_a_reader(module, reader_refs):
+    dead = [(cls, name) for cls, name
+            in _dead_members(_parse(PACKAGE / f"{module}.py"), reader_refs)
+            if (module, cls, name) not in EXEMPT]
+    assert not dead, (f"svasym.{module} has class members no production "
+                      f"code reads: {dead}")
+
+
+@pytest.mark.parametrize("entry", sorted(EXEMPT))
+def test_exempt_entry_names_an_unread_member(entry, reader_refs):
+    # an entry stays only while its member exists and nothing reads it
+    module, cls, name = entry
+    dead = _dead_members(_parse(PACKAGE / f"{module}.py"), reader_refs)
+    assert (cls, name) in dead, (
+        f"EXEMPT names svasym.{module}.{cls}.{name}, which is gone or now "
+        "read by production code: drop the entry")
 
 
 def test_guard_ignores_tests_and_re_exports(tmp_path):
@@ -101,3 +157,27 @@ def test_guard_ignores_tests_and_re_exports(tmp_path):
         (tmp_path / rel).write_text(text, encoding="utf-8")
     module = _parse(tmp_path / "src/pkg/mod.py")
     assert _dead_names(module, _reader_refs(tmp_path)) == ["probe"]
+
+
+def test_guard_sees_unread_members(tmp_path):
+    files = {
+        "src/pkg/mod.py": (
+            "from dataclasses import dataclass\n"
+            "@dataclass\nclass C:\n    read: int\n    built: int\n"
+            "    def __call__(self, x): return self.helper(x)\n"
+            "    def helper(self, x): return x\n"
+            "    def recursive(self, n): return self.recursive(n - 1)\n"
+            "    @property\n    def traced(self): return 0\n"
+            "    @property\n    def tested(self): return 0\n"),
+        "src/pkg/cli.py": "from .mod import C\nC(read=1, built=2).read\n",
+        "perfbench/run.py": 'SPANS = ("C.traced",)\n',
+        "tests/test_mod.py": "from pkg.mod import C\nC(1, 2).tested\n",
+    }
+    for rel, text in files.items():
+        (tmp_path / rel).parent.mkdir(parents=True, exist_ok=True)
+        (tmp_path / rel).write_text(text, encoding="utf-8")
+    module = _parse(tmp_path / "src/pkg/mod.py")
+    # a constructor keyword and a member's own body read nothing, and the
+    # dunder __call__ is read by the interpreter
+    assert _dead_members(module, _reader_refs(tmp_path)) == [
+        ("C", "built"), ("C", "recursive"), ("C", "tested")]

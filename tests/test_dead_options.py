@@ -20,6 +20,13 @@ it in a dotted attribute path, such as the ``"mc.paths"`` rows of the CLI's
 key table.  A ``replace(...)`` whose ``**`` operand does not resolve sets
 no field: the CLI's key table feeds its one such call, and its paths are
 counted as strings.
+
+A parameter that production calls do set, but always to the same constant,
+also has one value in use.  A constant is a literal (None, True and False
+among them) or a member of a package enum, such as ``Regime.FAST``; 2 and
+2.0 are one value.  An omitted argument counts as its default, and an
+argument passed through ``*args`` or a ``**`` operand that may hold it is
+not a constant.  A parameter that no call sets is left to the check above.
 """
 
 import ast
@@ -41,6 +48,17 @@ EXEMPT = {
     ("rates", "lax_solution", "sigma_bar_sq"):
         "the r = 4 closed form that the test of the fast regime's clamped "
         "Hopf-Lax cost compares against (ROADMAP open items)",
+}
+# (module, function, parameter): reason it stays with every production call
+# passing it the same constant
+ONE_VALUE_EXEMPT = {
+    ("verify", "regime_compare", "rho"):
+        "perfbench's fast_smile passes rho=0.0, and perfbench changes only "
+        "with the benchmark (ROADMAP item 2)",
+    ("rates", "lax_solution", "regime"):
+        "perfbench's fast_smile passes Regime.FAST (ROADMAP item 2), and "
+        "r = 4 is the reference of the clamped Hopf-Lax cost's test "
+        "(ROADMAP item 1)",
 }
 
 
@@ -272,6 +290,94 @@ def _production_trees(root: Path) -> list:
             for src in sorted((root / path).rglob("*.py"))]
 
 
+def _tail(node: ast.expr):
+    """The last name of a plain or dotted name, else None."""
+    if isinstance(node, ast.Name):
+        return node.id
+    return node.attr if isinstance(node, ast.Attribute) else None
+
+
+def _enums(trees) -> set:
+    """Names of the classes that subclass Enum."""
+    return {node.name for tree in trees for node in ast.walk(tree)
+            if isinstance(node, ast.ClassDef)
+            and any(_tail(base) == "Enum" for base in node.bases)}
+
+
+def _constant(node, enums):
+    """A key of the value of a constant argument, else None: equal keys
+    are one value."""
+    if node is None:
+        return None
+    if isinstance(node, ast.Attribute) and _tail(node.value) in enums:
+        return "member", _tail(node.value), node.attr
+    try:
+        value = ast.literal_eval(node)
+    except (ValueError, TypeError, SyntaxError):
+        return None
+    return "literal", isinstance(value, bool), value  # True is not 1
+
+
+def _calls(trees) -> dict:
+    """Called name -> (call, enclosing scope) of each call."""
+    tables = _dispatch_tables(trees)
+    calls = defaultdict(list)
+    for tree in trees:
+        for call, scope in _scoped_calls(tree, tree):
+            for name in _callees(call.func, tables):
+                calls[name].append((call, scope))
+    return calls
+
+
+def _parameters(fn: ast.FunctionDef, bound: bool):
+    """(name, positional index or None, default or None) of each named
+    parameter; a bound method's first is skipped."""
+    positional = fn.args.posonlyargs + fn.args.args
+    if bound:
+        positional = positional[1:]
+    defaults = [None] * (len(positional) - len(fn.args.defaults)) + fn.args.defaults
+    for i, (arg, default) in enumerate(zip(positional, defaults)):
+        yield arg.arg, i, default
+    for arg, default in zip(fn.args.kwonlyargs, fn.args.kw_defaults):
+        yield arg.arg, None, default
+
+
+def _argument(call: ast.Call, scope, name: str, index, default, returned):
+    """(expression, set) of what a call passes a parameter: the default
+    when it leaves the parameter out (set False), None when it cannot be
+    told."""
+    star = next((i for i, a in enumerate(call.args) if isinstance(a, ast.Starred)),
+                len(call.args))
+    if index is not None and index < len(call.args):
+        return (call.args[index] if index < star else None), True
+    for kw in call.keywords:
+        if kw.arg == name:
+            return kw.value, True
+    if star < len(call.args) and index is not None:
+        return None, True
+    for kw in call.keywords:
+        if kw.arg is None and {None, name} & _star_keys(kw.value, scope, returned):
+            return None, True
+    return default, False
+
+
+def _one_value(module_tree: ast.Module, calls, enums, returned) -> list:
+    """(function, parameter) of each parameter that some production call
+    sets and that every production call passes the same constant."""
+    found = []
+    for name, fn, bound in _functions(module_tree):
+        sites = calls.get(name, [])
+        for param, index, default in _parameters(fn, bound):
+            passed = [_argument(call, scope, param, index, default, returned)
+                      for call, scope in sites]
+            if not any(set_ for _, set_ in passed):
+                continue
+            keys = [_constant(node, enums) for node, _ in passed]
+            if keys[0] is not None and all(key == keys[0] for key in keys):
+                found.append((fn.name, param))
+    return found
+
+
 @pytest.fixture(scope="module")
 def trees():
     return _production_trees(ROOT)
@@ -285,6 +391,14 @@ def passed(trees):
 @pytest.fixture(scope="module")
 def path_names(trees):
     return _path_names(trees)
+
+
+@pytest.fixture(scope="module")
+def one_value(trees):
+    """Module -> its one-value parameters."""
+    calls, enums, returned = _calls(trees), _enums(trees), _returned_keys(trees)
+    return {p.stem: _one_value(_parse(p), calls, enums, returned)
+            for p in PACKAGE.glob("*.py")}
 
 
 @pytest.mark.parametrize("module", sorted(p.stem for p in PACKAGE.glob("*.py")))
@@ -315,6 +429,25 @@ def test_exempt_entry_names_an_unset_parameter(entry, passed, path_names):
     assert (fn, param) in dead, (
         f"EXEMPT names svasym.{module}.{fn}({param}=), which is gone or now "
         "set by a production call: drop the entry")
+
+
+@pytest.mark.parametrize("module", sorted(p.stem for p in PACKAGE.glob("*.py")))
+def test_no_parameter_has_one_value_in_use(module, one_value):
+    found = [(fn, param) for fn, param in one_value[module]
+             if (module, fn, param) not in ONE_VALUE_EXEMPT]
+    assert not found, (f"svasym.{module} has parameters every production "
+                       f"call passes the same constant (make each a "
+                       f"constant): {found}")
+
+
+@pytest.mark.parametrize("entry", sorted(ONE_VALUE_EXEMPT))
+def test_one_value_exempt_entry_names_a_finding(entry, one_value):
+    # an entry stays only while its parameter exists and every production
+    # call passes it the same constant
+    module, fn, param = entry
+    assert (fn, param) in one_value[module], (
+        f"ONE_VALUE_EXEMPT names svasym.{module}.{fn}({param}), which is gone "
+        "or now passed more than one value: drop the entry")
 
 
 def test_guard_sees_each_way_of_passing():
@@ -406,3 +539,33 @@ def test_guard_ignores_fields_only_tests_set(tmp_path):
     module = _parse(tmp_path / "src/pkg/mod.py")
     assert _dead_fields(module, _passed(trees), _path_names(trees)) == [
         ("C", "tested")]
+
+
+def test_guard_sees_one_value_in_use():
+    source = '''
+from enum import Enum
+class Mode(Enum):
+    A = 1
+    B = 2
+def f(a, b, c=0.0, d=None, *, e=Mode.A, g=1, k=3): pass
+def h(a=2): pass
+def s(a, b=1): pass
+class K:
+    def m(self, x, y=True): pass
+def caller(x, opts, args):
+    f(x, 2, c=0, e=Mode.A, g=1, k=opts)
+    f(x, 2.0, e=pkg.Mode.A, g=2)
+    h(a=2)
+    h(**opts)
+    s(1, *args)
+    s(1)
+    K().m(None, y=1)
+    K().m(None, y=True)
+'''
+    tree = ast.parse(source)
+    found = _one_value(tree, _calls([tree]), _enums([tree]), _returned_keys([tree]))
+    # b is 2 and 2.0, c is 0 and the omitted default 0.0, e one enum member;
+    # d is never set, a and k are no constants, g has two values, h may come
+    # through **opts, s's b through *args, and y is 1 once and True once
+    assert set(found) == {("f", "b"), ("f", "c"), ("f", "e"), ("s", "a"),
+                          ("m", "x")}

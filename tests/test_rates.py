@@ -49,14 +49,6 @@ class TestRateFunctions:
         with pytest.raises(ValidationError):
             rates.rate_curve(Regime.FAST, 0.0, 1.0, [0.0, 0.1])
 
-    def test_rate_curve_interpolates_and_guards(self):
-        curve = rates.rate_curve(Regime.ULTRA_FAST, 0.0, 1.0,
-                                 np.linspace(-1, 1, 201), sigma_bar_sq=SBAR2)
-        assert curve(0.4) == pytest.approx(rates.rate_i4(0.4, 0.0, 1.0, SBAR2),
-                                           abs=1e-4)
-        with pytest.raises(RangeError):
-            curve(2.0)
-
     def test_csv_format(self, tmp_path):
         curve = rates.rate_curve(Regime.ULTRA_FAST, 0.0, 1.0,
                                  np.linspace(-1, 1, 11), sigma_bar_sq=SBAR2)
@@ -169,7 +161,7 @@ class TestPricesAndSmiles:
 P_GOLD = np.linspace(-2.0, 2.0, 33)
 H_GOLD = 0.02 * P_GOLD ** 2 + 0.004 * P_GOLD ** 3 + 0.003 * P_GOLD ** 4
 LEG_GOLD = ham.legendre(
-    ham.HamiltonianCurve(p_grid=P_GOLD, values=H_GOLD, method="eigen",
+    ham.HamiltonianCurve(p_grid=P_GOLD, values=H_GOLD,
                          errors=np.zeros_like(P_GOLD)),
     np.linspace(-0.2, 0.3, 201))
 X0, T_GOLD, SBAR2_GOLD = 0.05, 0.8, 0.037

@@ -224,12 +224,6 @@ class TestEstimators:
         lme, _ = simulate.log_mean_exp(np.array([1000.0, 1000.0]))
         assert lme == pytest.approx(1000.0, abs=1e-9)
 
-    def test_moment_check_requires_p_above_one(self):
-        mc = simulate.McConfig(paths=10)
-        with pytest.raises(ValidationError):
-            simulate.moment_check(CONST, Regime.ULTRA_FAST, (0.5, 0.25), 1.0,
-                                  1.0, mc)
-
 
 # Outputs pinned bit for bit: any change to the kernels' arithmetic, operand
 # order or stream layout changes these digests.  Each config spans two

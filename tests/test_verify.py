@@ -14,23 +14,6 @@ from svasym.errors import ValidationError
 from svasym.model import Regime, VolFnSpec, validate
 
 
-class TestWilson:
-    def test_contains_point_estimate(self):
-        lo, hi = verify.wilson_interval(50, 100)
-        assert lo < 0.5 < hi
-
-    def test_degenerate_counts(self):
-        lo, hi = verify.wilson_interval(0, 100)
-        assert lo == pytest.approx(0.0, abs=1e-15) and hi < 0.1
-        lo, hi = verify.wilson_interval(0, 0)
-        assert (lo, hi) == (0.0, 1.0)
-
-    def test_narrows_with_samples(self):
-        lo1, hi1 = verify.wilson_interval(50, 100)
-        lo2, hi2 = verify.wilson_interval(5000, 10000)
-        assert hi2 - lo2 < hi1 - lo1
-
-
 class TestFixtures:
     @pytest.mark.parametrize("name", sorted(verify.FIXTURES))
     def test_fixtures_are_admissible(self, name):
@@ -182,7 +165,7 @@ def test_conditional_tail_matches_raw_hit_count(name):
     else:
         p = np.linspace(-4.0, 4.0, 81)
         curve = ham.HamiltonianCurve(p_grid=p, values=0.5 * sbar2 * p * p,
-                                     method="closed-form", errors=np.zeros_like(p))
+                                     errors=np.zeros_like(p))
         rate = {"legendre": ham.legendre(curve, np.linspace(-1.0, 1.0, 201))}
     report = verify.ldp_tail(params, regime, x, 1.0, eps_seq, mc, **rate)
     resolved = 0
@@ -219,7 +202,7 @@ class TestRegimeCompare:
         p = np.linspace(-2.0, 2.0, 33)
         curve = ham.HamiltonianCurve(
             p_grid=p, values=0.02 * p ** 2 + 0.004 * p ** 3 + 0.003 * p ** 4,
-            method="eigen", errors=np.zeros_like(p))
+            errors=np.zeros_like(p))
         leg = ham.legendre(curve, np.linspace(-0.2, 0.3, 201))
         x0, t, sbar2, tol = 0.05, 0.8, 0.037, 1e-3
         x_grid = x0 + t * np.linspace(-0.19, 0.15, 37)
