@@ -187,6 +187,12 @@ def hbar0_eigen(params: ModelParams, p: float, *,
     Each solve bisects only between the potential's bounds on the grid, to
     1e-12 of the larger (see ``_rayleigh_top`` and ``_top_eigen``).  Hbar0(0)
     is 0 exactly, with error 0.  ValidationError if p is not finite.
+
+    The error bar is the one Richardson step's |fine - coarse| / 3 alone.
+    It leaves out the rounding of the assembled matrix, which can be the
+    larger part: with constant sigma = 0.2 at p = 0.5 the value is
+    0.005000000001321636 with error 3.04e-13, while the true error is
+    1.32e-12.
     """
     p = _check_momentum(p)
     if p == 0.0:

@@ -34,7 +34,8 @@ CENTERING_TOL = 1e-5
 
 @dataclass(frozen=True)
 class Corrector:
-    """Sampled corrector chi with its derivative on the cell centers."""
+    """Sampled corrector chi with its derivative on every other node of the
+    working grid (see ``_corrector_grid``)."""
 
     grid: np.ndarray
     chi: np.ndarray
@@ -58,12 +59,16 @@ class GrowthBoundReport:
 
 
 def _corrector_grid(params: ModelParams, y_lo: float, y_hi: float, n: int) -> np.ndarray:
-    """Working grid of 2n - 1 points: the n cell centers interleaved with
-    the interior cell edges.  Quadratures run on the full working grid (so
-    a kink of sigma at a cell edge -- e.g. the |y|^q cusp at 0 -- sits on
-    an integration node), while the emitted corrector lives on the cell
-    centers, where no node touches the kink and the finite-difference
-    residual keeps its second-order headroom."""
+    """Working grid of 2n - 1 points; the emitted corrector keeps every
+    other one, n points.  Quadratures run on the full working grid.
+
+    At beta = 0 the grid is the n cell centers of [y_lo, y_hi] interleaved
+    with the interior cell edges, so a kink of sigma at a cell edge -- e.g.
+    the |y|^q cusp at 0 -- sits on an integration node, while the emitted
+    corrector lives on the cell centers, where no node touches the kink and
+    the finite-difference residual keeps its second-order headroom.  At
+    beta != 0 it is the geometric grid with y_lo and y_hi as nodes, so the
+    emitted corrector's first and last points are the window edges."""
     if params.beta == 0.0:
         h = (y_hi - y_lo) / n
         return y_lo + 0.5 * h * np.arange(1, 2 * n)
@@ -127,7 +132,7 @@ def solve_corrector(params: ModelParams, p: float,
     y_ref = min(max(params.m, y_fine[0]), y_fine[-1])
     chi_base -= np.interp(y_ref, y_fine, chi_base)
 
-    out = slice(None, None, 2)  # cell centers
+    out = slice(None, None, 2)  # every other node
     return Corrector(grid=y_fine[out], chi=p_sq * chi_base[out],
                      chi_prime=p_sq * base[out], p=p, sigma_bar_sq=sbar_grid,
                      chi_prime_left=p_sq * base_left[out],
