@@ -3,13 +3,14 @@ import math
 import os
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 import svasym
-from svasym import cli, hamiltonian, measures, poisson, rates, simulate
+from svasym import cli, hamiltonian, measures, poisson, rates, simulate, verify
 from svasym.errors import ParseError, UnknownKeyError
 from svasym.model import ModelParams, Regime, VolFnSpec
 
@@ -555,3 +556,81 @@ def test_module_entry_point_runs_the_command(tmp_path):
         env=_module_env(), capture_output=True, text=True, timeout=120)
     assert done.returncode == 1
     assert done.stderr.startswith("error: ")
+
+
+# a small eigen problem keeps the r = 2 paths cheap
+SMALL_OU_CFG = OU_CFG + "grid.n = 513\np_grid.count = 9\n"
+
+
+class TestSuccessPaths:
+    """Each command writes exactly its one artifact, with the bytes of the
+    library result for the same config."""
+
+    @pytest.fixture()
+    def small_cfg(self, tmp_path):
+        path = tmp_path / "ou.cfg"
+        path.write_text(SMALL_OU_CFG, encoding="utf-8")
+        return str(path)
+
+    def _run(self, command, cfg_path, out, regime):
+        assert cli.dispatch([command, "--config", cfg_path, "--out", str(out),
+                             "--regime", regime]) == 0
+        (artifact,) = os.listdir(out)
+        return (out / artifact).read_bytes()
+
+    def _expected(self, obj, tmp_path):
+        path = tmp_path / "expected.csv"
+        obj.to_csv(path)
+        return path.read_bytes()
+
+    @pytest.mark.parametrize("regime", ["2", "4"])
+    def test_invariant(self, regime, small_cfg, tmp_path):
+        cfg = cli.load_config(small_cfg)
+        table = measures.invariant_density(cfg.model, cfg.tilt_p, cfg.grid)
+        got = self._run("invariant", small_cfg, tmp_path / "out", regime)
+        assert got == self._expected(table, tmp_path)
+
+    @pytest.mark.parametrize("regime", ["2", "4"])
+    def test_poisson(self, regime, small_cfg, tmp_path):
+        cfg = cli.load_config(small_cfg)
+        cor = poisson.solve_corrector(cfg.model, cfg.tilt_p, cfg.grid)
+        got = self._run("poisson", small_cfg, tmp_path / "out", regime)
+        assert got == self._expected(cor, tmp_path)
+
+    @pytest.mark.parametrize("regime", ["2", "4"])
+    def test_price(self, regime, small_cfg, tmp_path):
+        cfg = cli.load_config(small_cfg)
+        cfg = replace(cfg, regime=Regime.from_r(int(regime)))
+        value = rates.option_price_log_asymptote(
+            cfg.strike, cfg.model.x0, cfg.t, cfg.regime, **cli._rate_ingredient(cfg))
+        payload = {"strike": cfg.strike, "regime": cfg.regime.r, "t": cfg.t,
+                   "log_price_asymptote": value}
+        got = self._run("price", small_cfg, tmp_path / "out", regime)
+        assert got == json.dumps(payload, indent=2, sort_keys=True).encode()
+        assert value < 0.0
+
+    def test_fast_smile_fills_the_money_with_sigma_bar(self, small_cfg, tmp_path):
+        cfg = cli.load_config(small_cfg)
+        sbar2 = measures.sigma_bar_sq(cfg.model)
+        smile = rates.implied_vol_curve(
+            cfg.model.x0, Regime.FAST, cfg.t, cfg.logk_grid(), sigma_bar_sq=sbar2,
+            legendre=cli._rate_ingredient(cfg)["legendre"])
+        got = self._run("smile", small_cfg, tmp_path / "out", "2")
+        assert got == self._expected(smile, tmp_path)
+        assert smile.values[cfg.logk_count // 2] == sbar2
+
+    @pytest.mark.parametrize("passes", [True, False])
+    def test_accept(self, passes, small_cfg, tmp_path, monkeypatch, capsys):
+        def c99(seed):
+            return verify._entry("synthetic", seed, 42, None, passes)
+        monkeypatch.setattr(verify, "CRITERIA",
+                            {"C10": verify.CRITERIA["C10"], "C99": c99})
+        out = tmp_path / "out"
+        code = cli.dispatch(["accept", "--config", small_cfg, "--out", str(out)])
+        assert code == (0 if passes else 1)
+        assert os.listdir(out) == ["acceptance.json"]
+        doc = json.loads((out / "acceptance.json").read_text())
+        assert [e["criterion_id"] for e in doc["criteria"]] == ["C0", "C10", "C99"]
+        assert doc["passed"] is passes and doc["seed"] == 42
+        assert all(e["pass"] for e in doc["criteria"][:2])
+        assert f"[{'PASS' if passes else 'FAIL'}] C99: synthetic" in capsys.readouterr().out
