@@ -9,10 +9,10 @@ silently.  Every Monte-Carlo-touching artifact records its seed.
 from __future__ import annotations
 
 import argparse
-import json
+import math
 import os
 import sys
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 from functools import reduce
 from typing import Optional
 
@@ -21,8 +21,8 @@ import numpy as np
 from . import measures, poisson, rates, simulate, verify
 from . import hamiltonian as ham
 from .errors import ParseError, SvasymError, UnknownKeyError, ValidationError
-from .model import (MODEL_KEYS, ModelParams, Regime, _check_time, from_doc,
-                    to_doc, validate)
+from .model import (MODEL_KEYS, ModelParams, Regime, _check_time, _write_json,
+                    from_doc, to_doc, validate)
 
 
 @dataclass(frozen=True)
@@ -177,22 +177,18 @@ def write_config(cfg: RunConfig, path: str) -> None:
             fh.write(f"{key} = {doc[key]}\n")
 
 
-def _write_json(path: str, payload: dict) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
-
-
 def _emit(out_dir: str, name: str) -> str:
     path = os.path.join(out_dir, name)
     print(f"wrote {path}")
     return path
 
 
-def _rate_ingredient(cfg: RunConfig) -> dict:
+def _rate_ingredient(cfg: RunConfig, x) -> dict:
     """The regime's rate ingredient as keyword arguments of the rates
     functions: sigma_bar_sq for r = 4; for r = 2 the Legendre transform of
-    the eigen Hamiltonian on the q set the x and log-strike grids ask for.
-    A bad t fails here, before the q set divides by it."""
+    the eigen Hamiltonian on the q set the x and log-strike grids ask for,
+    and a ValidationError naming p_grid.max if Hbar0's slopes fall short of
+    those of ``x``, the points the command reads.  A bad t fails first."""
     _check_time(cfg.t)
     if cfg.regime is Regime.ULTRA_FAST:
         return {"sigma_bar_sq": measures.sigma_bar_sq(cfg.model)}
@@ -200,9 +196,14 @@ def _rate_ingredient(cfg: RunConfig) -> dict:
                             grid_spec=cfg.grid)
     slopes = np.gradient(curve.values, curve.p_grid)
     q_max = float(np.max(np.abs(slopes)))
-    q_needed = np.union1d(np.linspace(-q_max, q_max, 801),
-                          (cfg.model.x0 - cfg.x_grid()) / cfg.t)
-    q_needed = np.union1d(q_needed, (cfg.model.x0 - cfg.logk_grid()) / cfg.t)
+    x0, t = cfg.model.x0, cfg.t
+    need = float(np.max(np.abs(rates._slope(x, x0, t))))
+    if need > q_max:  # not for a NaN point, which fails where it is read
+        raise ValidationError(f"p_grid.max = {cfg.p_grid_max!r} reaches Hbar0 "
+                              f"slopes up to {q_max!r}; the command needs {need!r}")
+    q_needed = reduce(np.union1d, (np.linspace(-q_max, q_max, 801),
+                                   rates._slope(cfg.x_grid(), x0, t),
+                                   rates._slope(cfg.logk_grid(), x0, t)))
     q_needed = q_needed[np.abs(q_needed) <= q_max]
     return {"legendre": ham.legendre(curve, q_needed)}
 
@@ -218,8 +219,7 @@ def _check_model(model: ModelParams) -> None:
 def _cmd_validate(cfg: RunConfig, out: str) -> int:
     report = validate(cfg.model)
     payload = {"passed": report.passed,
-               "clauses": [{"clause": c.clause, "passed": c.passed,
-                            "message": c.message} for c in report]}
+               "clauses": [asdict(c) for c in report]}
     _write_json(_emit(out, "validation.json"), payload)
     for c in report:
         print(f"  [{'ok' if c.passed else 'FAIL'}] {c.clause}: {c.message}")
@@ -261,14 +261,16 @@ def _cmd_hamiltonian(cfg: RunConfig, out: str) -> int:
 
 def _cmd_rate(cfg: RunConfig, out: str) -> int:
     curve = rates.rate_curve(cfg.regime, cfg.model.x0, cfg.t, cfg.x_grid(),
-                             **_rate_ingredient(cfg))
+                             **_rate_ingredient(cfg, cfg.x_grid()))
     curve.to_csv(_emit(out, "rate.csv"))
     return 0
 
 
 def _cmd_price(cfg: RunConfig, out: str) -> int:
+    # option_price_log_asymptote rejects a strike <= 0, which has no log
+    log_k = math.log(cfg.strike) if cfg.strike > 0 else math.nan
     value = rates.option_price_log_asymptote(cfg.strike, cfg.model.x0, cfg.t,
-                                             cfg.regime, **_rate_ingredient(cfg))
+                                             cfg.regime, **_rate_ingredient(cfg, log_k))
     _write_json(_emit(out, "price.json"),
                 {"strike": cfg.strike, "regime": cfg.regime.r, "t": cfg.t,
                  "log_price_asymptote": value})
@@ -277,7 +279,7 @@ def _cmd_price(cfg: RunConfig, out: str) -> int:
 
 
 def _cmd_smile(cfg: RunConfig, out: str) -> int:
-    kwargs = _rate_ingredient(cfg)
+    kwargs = _rate_ingredient(cfg, cfg.logk_grid())
     if "sigma_bar_sq" not in kwargs:  # the ATM band is filled with it
         kwargs["sigma_bar_sq"] = measures.sigma_bar_sq(cfg.model)
     smile = rates.implied_vol_curve(cfg.model.x0, cfg.regime, cfg.t,
@@ -299,7 +301,8 @@ def _cmd_simulate(cfg: RunConfig, out: str, raw: bool = False) -> int:
 
 def _cmd_verify_ldp(cfg: RunConfig, out: str) -> int:
     report = verify.ldp_tail(cfg.model, cfg.regime, cfg.x_target, cfg.t,
-                             cfg.eps_sequence, cfg.mc, **_rate_ingredient(cfg))
+                             cfg.eps_sequence, cfg.mc,
+                             **_rate_ingredient(cfg, cfg.x_target))
     _write_json(_emit(out, "ldp.json"), report.to_json())
     print(f"  verdict {report.verdict}, predicted {report.predicted:.6g}")
     return 0

@@ -39,7 +39,8 @@ from .errors import (ConvexityError, RangeError, ResolutionError,
                      TruncationError, ValidationError, VarianceWarning)
 from .measures import (GridSpec, _choose_window, _make_grid, _resolve_window,
                        _richardson, density_on_grid, invariant_density)
-from .model import ModelParams, _check_momentum, _write_csv, sigma_eval
+from .model import (ModelParams, _check_momentum, _diffusion_sq, _write_csv,
+                    sigma_eval)
 from .simulate import (McConfig, McEstimate, _check_mc, log_mean_exp,
                        simulate_tilted, substream_seed)
 
@@ -152,7 +153,7 @@ def _rayleigh_top(params: ModelParams, p: float, y: np.ndarray,
     v = 0.5 * p * p * sigma_eval(params.sigma, y, beta=params.beta) ** 2
     y_mid = 0.5 * (y[1:] + y[:-1])
     w_mid = np.sqrt(w[1:] * w[:-1])
-    c_mid = 0.5 * params.nu ** 2 * np.abs(y_mid) ** (2.0 * params.beta) * w_mid
+    c_mid = 0.5 * _diffusion_sq(params, y_mid) * w_mid
     k = c_mid / dy  # stiffness couplings: E(h,h) = sum k_i (h_{i+1}-h_i)^2
 
     diag = v * mass
@@ -396,11 +397,3 @@ def legendre(curve: HamiltonianCurve, q_grid: Sequence[float]) -> LegendreCurve:
     values, p_star, flags = conjugate(curve.p_grid, hull, q_grid)
     return LegendreCurve(q_grid=np.asarray(q_grid, dtype=float), values=values,
                          p_star=p_star, flags=flags)
-
-
-def biconjugate(curve: HamiltonianCurve, q_grid: Sequence[float]) -> np.ndarray:
-    """Hbar0** on the curve's own p-grid, via the sampled conjugate on
-    q_grid; equals the convex hull of the curve on interior points."""
-    leg = legendre(curve, q_grid)
-    back, _, _ = conjugate(leg.q_grid, leg.values, curve.p_grid)
-    return back

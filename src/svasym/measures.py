@@ -20,7 +20,7 @@ import numpy as np
 from scipy.integrate import trapezoid
 
 from .errors import GridMismatchError, TruncationError, ValidationError
-from .model import (ModelParams, _check_momentum, _write_csv,
+from .model import (ModelParams, _check_momentum, _diffusion_sq, _write_csv,
                     scale_log_integrand, sigma_eval)
 
 TAIL_REL_TOL = 1e-10      # target tail mass during window expansion
@@ -202,10 +202,9 @@ def sigma_bar_sq(params: ModelParams, *, with_error: bool = False):
     law's window and is doubled (2n - 1 points) up to 8 times, else
     TruncationError.  ``with_error`` also returns the error estimate."""
     y_lo, y_hi = _choose_window(params, 0.0)
-    spec = lambda n: GridSpec(n=n, y_lo=y_lo, y_hi=y_hi)
 
     def value(n: int) -> float:
-        table = invariant_density(params, grid_spec=spec(n))
+        table = density_on_grid(params, 0.0, _make_grid(params, y_lo, y_hi, n))
         return table.quad(sigma_eval(params.sigma, table.grid, beta=params.beta) ** 2)
 
     n = DEFAULT_GRID_N + 1
@@ -246,5 +245,4 @@ def apply_generator(params: ModelParams, y: np.ndarray, h) -> np.ndarray:
     h = _check_grid(y, h)
     hp = np.gradient(h, y)
     hpp = _second_derivative(h, y)
-    return ((params.m - y) * hp
-            + 0.5 * params.nu ** 2 * np.abs(y) ** (2.0 * params.beta) * hpp)
+    return (params.m - y) * hp + 0.5 * _diffusion_sq(params, y) * hpp

@@ -14,6 +14,7 @@ exactly what guarantees a unique strong solution and a positive Y.
 
 from __future__ import annotations
 
+import json
 import math
 from dataclasses import dataclass, field
 from enum import Enum
@@ -273,12 +274,17 @@ def _probe_grid(params: ModelParams) -> np.ndarray:
     return np.geomspace(1e-8, hi, 10_000)
 
 
+def _diffusion_sq(params: ModelParams, y):
+    """The factor's squared diffusion coefficient nu^2 |y|^{2 beta}."""
+    return params.nu ** 2 * np.abs(y) ** (2.0 * params.beta)
+
+
 def scale_log_integrand(params: ModelParams, y, p: float = 0.0):
     """Integrand 2 mu_p(z) / (nu^2 |z|^{2 beta}) of the log scale function."""
     y = np.asarray(y, dtype=float)
     s = sigma_eval(params.sigma, y, beta=params.beta)
     mu = (params.m - y) + params.rho * p * s * params.nu * np.abs(y) ** params.beta
-    return 2.0 * mu / (params.nu ** 2 * np.abs(y) ** (2.0 * params.beta))
+    return 2.0 * mu / _diffusion_sq(params, y)
 
 
 def _check_time(value, name: str = "t") -> None:
@@ -310,6 +316,11 @@ def _write_csv(path, header, columns) -> None:
         fh.write(",".join(header) + "\r\n")
         for row in zip(*columns):
             fh.write(",".join(map(str, row)) + "\r\n")
+
+
+def _write_json(path, payload: dict) -> None:
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(payload, fh, indent=2, sort_keys=True)
 
 
 def to_doc(params: ModelParams) -> dict:

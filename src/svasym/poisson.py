@@ -22,12 +22,14 @@ from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
+from scipy.integrate import cumulative_trapezoid
 
 from .errors import CenteringError, NotApplicableError
 from .measures import (GridSpec, _choose_window, _make_grid, _resolve_window,
                        _start_window, density_on_grid, apply_generator,
                        sigma_bar_sq)
-from .model import ModelParams, _check_momentum, _write_csv, sigma_eval
+from .model import (ModelParams, _check_momentum, _diffusion_sq, _write_csv,
+                    sigma_eval)
 
 CENTERING_TOL = 1e-5
 
@@ -75,13 +77,6 @@ def _corrector_grid(params: ModelParams, y_lo: float, y_hi: float, n: int) -> np
     return _make_grid(params, y_lo, y_hi, 2 * n - 1)
 
 
-def _cumtrapz(f: np.ndarray, y: np.ndarray) -> np.ndarray:
-    out = np.empty_like(f)
-    out[0] = 0.0
-    np.cumsum(0.5 * (f[1:] + f[:-1]) * np.diff(y), out=out[1:])
-    return out
-
-
 def solve_corrector(params: ModelParams, p: float,
                     grid_spec: Optional[GridSpec] = None) -> Corrector:
     """Solve the centered Poisson equation for chi on an auto-chosen window.
@@ -121,14 +116,14 @@ def solve_corrector(params: ModelParams, p: float,
             f"converged value ({sbar_ref!r}) beyond {CENTERING_TOL:g}")
 
     rhs0 = sbar_grid - sig_sq  # p-independent part of the RHS, centered on the grid
-    cum = _cumtrapz(w * rhs0, y_fine)
-    denom = params.nu ** 2 * np.abs(y_fine) ** (2.0 * params.beta) * w
+    cum = cumulative_trapezoid(w * rhs0, y_fine, initial=0.0)
+    denom = _diffusion_sq(params, y_fine) * w
     base_left = cum / denom
     base_right = -(cum[-1] - cum) / denom
     base = np.where(y_fine <= fine.mode(), base_left, base_right)
 
     p_sq = p * p  # chi and chi' scale exactly by p^2
-    chi_base = _cumtrapz(base, y_fine)
+    chi_base = cumulative_trapezoid(base, y_fine, initial=0.0)
     y_ref = min(max(params.m, y_fine[0]), y_fine[-1])
     chi_base -= np.interp(y_ref, y_fine, chi_base)
 

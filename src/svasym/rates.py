@@ -79,12 +79,17 @@ def rate_i4(x, x0: float, t: float, sigma_bar_sq: float):
     return out if out.ndim else float(out)
 
 
+def _slope(x, x0, t):
+    """q = (x0 - x)/t, where the fast-regime rate from x0 to x reads Lbar0."""
+    return (x0 - np.asarray(x, dtype=float)) / t
+
+
 def rate_i2(x, x0: float, t: float, legendre: LegendreCurve):
     """Fast-regime rate function t * Lbar0((x0 - x)/t)."""
     _check_time(t)
     if legendre is None:
         raise ValidationError("the fast-regime rate needs a Legendre curve")
-    return t * legendre((x0 - np.asarray(x, dtype=float)) / t)
+    return t * legendre(_slope(x, x0, t))
 
 
 def _rate(regime: Regime, x, x0: float, t: float,
@@ -131,7 +136,7 @@ def lax_solution(h_grid: Sequence[float], h_values: Sequence[float], t: float,
         cost = lambda q: np.interp(q, legendre.q_grid, legendre.values)
 
     edge, out, _ = _sup_refined(
-        h_grid, lambda s: h_values - t * cost((xs[s, None] - h_grid) / t),
+        h_grid, lambda s: h_values - t * cost(_slope(h_grid, xs[s, None], t)),
         xs.size)
     if edge.any():
         raise RangeError(

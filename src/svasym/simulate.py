@@ -39,8 +39,8 @@ import numpy as np
 from scipy.special import logsumexp
 
 from .errors import StabilityError, ValidationError, VarianceWarning
-from .model import (ModelParams, Regime, _check_time, _sigma_into, _sigma_sq_into,
-                    _write_csv)
+from .model import (ModelParams, Regime, _check_time, _diffusion_sq, _sigma_into,
+                    _sigma_sq_into, _write_csv)
 
 BLOCK_PATHS = 65536
 # work caps, far above the largest pinned run (C8: 1e6 paths, 8574 steps)
@@ -188,10 +188,11 @@ class _FactorStepper:
     for every step size; beta >= 1/2 uses full-truncation Euler, with the
     coefficients frozen at the positive part.  ``tilt`` = rho p adds the
     drift rho p sigma(y) nu |y|^beta and an ``h`` table (grid, h') the
-    Girsanov shift nu^2 |y|^{2 beta} h'(y); a zero tilt is skipped.  Every
-    operation keeps the operand order of the plain array expression, so the
-    results are bit-identical to it; passes that keep every bit (y - m and
-    + m at m = 0, times or over lam at lam = 1) are skipped.
+    Girsanov shift nu^2 |y|^{2 beta} h'(y); a zero tilt is skipped.  Both
+    drifts run on the factor's own clock, lam = 1.  Every operation keeps
+    the operand order of the plain array expression, so the results are
+    bit-identical to it; passes that keep every bit (y - m and + m at
+    m = 0, times lam at lam = 1) are skipped.
     """
 
     def __init__(self, params: ModelParams, rng: np.random.Generator, n: int,
@@ -261,13 +262,13 @@ class _FactorStepper:
             if prm.beta != 0.0:
                 out *= self._ypb
         if self.h is not None:
-            shift = prm.nu ** 2 * np.abs(self.yp) ** (2.0 * prm.beta) * np.interp(self.yp, *self.h)
+            shift = _diffusion_sq(prm, self.yp) * np.interp(self.yp, *self.h)
             out = shift if out is None else np.add(out, shift, out=out)
         return out
 
     def _advance(self, w2: np.ndarray) -> None:
         prm, y = self.params, self.y
-        if prm.beta == 0.0:  # m + (y - m) a + extra (1 - a) / lam + noise W2
+        if prm.beta == 0.0:  # m + (y - m) a + extra (1 - a) + noise W2
             extra = self._extra_drift()
             if prm.m == 0.0:  # y - 0 and y + 0 are y, but for the sign of a 0
                 y *= self._a
@@ -277,8 +278,6 @@ class _FactorStepper:
                 y += prm.m
             if extra is not None:
                 extra *= 1.0 - self._a
-                if self.lam != 1.0:
-                    extra /= self.lam
                 y += extra
             if prm.nu > 0.0:
                 w2 *= self._noise

@@ -8,13 +8,12 @@ the package's full acceptance suite and emits a machine-readable report.
 
 from __future__ import annotations
 
-import json
 import math
 import os
 import tempfile
 import time
 import warnings
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 from typing import Optional, Sequence, Tuple
 
 import numpy as np
@@ -26,7 +25,8 @@ from scipy.special import log_ndtr
 from . import hamiltonian as ham
 from . import measures, poisson, rates, simulate
 from .errors import ValidationError, VarianceWarning
-from .model import ModelParams, Regime, VolFnSpec, _check_time, validate
+from .model import (ModelParams, Regime, VolFnSpec, _check_time, _write_json,
+                    validate)
 
 WILSON_Z = 1.959963984540054  # two-sided 95%
 MIN_HITS = 50
@@ -66,10 +66,7 @@ class LdpReport:
         return {
             "regime": self.regime.r, "x": self.x, "x0": self.x0, "t": self.t,
             "eps_sequence": list(self.eps_sequence),
-            "points": [{"eps": q.eps, "hits": q.hits, "paths": q.paths,
-                        "p_hat": q.p_hat, "estimate": q.estimate,
-                        "ci_lo": q.ci_lo, "ci_hi": q.ci_hi,
-                        "undersampled": q.undersampled} for q in self.points],
+            "points": [asdict(q) for q in self.points],
             "predicted": self.predicted, "spearman": self.spearman,
             "verdict": self.verdict,
         }
@@ -265,7 +262,7 @@ def _c1_bs_collapse(seed: int) -> dict:
     t = 1.0
     sbar2 = measures.sigma_bar_sq(params)
     x_grid = np.linspace(-0.5, 0.5, 101)
-    q_needed = np.unique((params.x0 - x_grid) / t)
+    q_needed = np.unique(rates._slope(x_grid, params.x0, t))
     p_grid = np.linspace(-15.0, 15.0, 3001)
     curve = ham.build_curve(params, p_grid, method="closed-form")
     leg = ham.legendre(curve, q_needed)
@@ -274,9 +271,9 @@ def _c1_bs_collapse(seed: int) -> dict:
     scale = np.maximum(np.abs(i4), 1e-12)
     rate_dev = float(np.max(np.abs(i2 - i4) / scale))
     logk = np.linspace(-0.4, 0.4, 81)
+    leg_s = ham.legendre(curve, np.unique(rates._slope(logk, params.x0, t)))
     dev_sm = 0.0
     for regime in (Regime.FAST, Regime.ULTRA_FAST):
-        leg_s = ham.legendre(curve, np.unique((params.x0 - logk) / t))
         smile = rates.implied_vol_curve(params.x0, regime, t, logk,
                                         sigma_bar_sq=sbar2, legendre=leg_s)
         dev_sm = max(dev_sm, float(np.max(np.abs(smile.values / 0.04 - 1.0))))
@@ -372,7 +369,7 @@ def _c6_legendre_duality(seed: int) -> dict:
     q_max = float(np.max(np.abs(slope))) * 0.98
     q_grid = np.linspace(-q_max, q_max, 4001)
     leg = ham.legendre(curve, q_grid)
-    back = ham.biconjugate(curve, q_grid)
+    back, _, _ = ham.conjugate(leg.q_grid, leg.values, curve.p_grid)
     hull = ham._convex_hull_values(curve.p_grid, curve.values)
     interior = np.abs(curve.p_grid) <= 0.8 * curve.p_grid[-1]
     bidual_dev = float(np.max(np.abs(back[interior] - hull[interior])))
@@ -546,6 +543,5 @@ def run_acceptance(seed: int = 42, *, model: Optional[ModelParams] = None,
     report = {"seed": seed, "criteria": entries,
               "passed": all(e["pass"] for e in entries)}
     if out:
-        with open(out, "w", encoding="utf-8") as fh:
-            json.dump(report, fh, indent=2, sort_keys=True)
+        _write_json(out, report)
     return report

@@ -436,6 +436,48 @@ class TestModelGate:
         assert not out.exists()
 
 
+class TestFastRegimeConstantSigma:
+    """At r = 2 each command reads Lbar0 at the slopes (x0 - x)/t of its own
+    points, which Hbar0 = s0^2 p^2 / 2 reaches only on a wide enough p grid:
+    |p| <= 2 gives slopes up to 0.0775 for s0 = 0.2."""
+
+    COMMANDS = ["rate", "price", "smile", "verify-ldp"]
+
+    def _dispatch(self, command, text, out, regime="2"):
+        path = out.parent / f"{out.name}.cfg"
+        path.write_text(text, encoding="utf-8")
+        return cli.dispatch([command, "--config", str(path), "--out", str(out),
+                             "--regime", regime])
+
+    @pytest.mark.parametrize("command", COMMANDS)
+    def test_wide_p_grid_exits_0(self, command, tmp_path):
+        out = tmp_path / "out"
+        assert self._dispatch(command, BS_CFG + "p_grid.max = 15\n", out) == 0
+        assert len(os.listdir(out)) == 1
+
+    def test_fast_rate_collapses_to_the_ultra_fast_one(self, tmp_path):
+        rate = {}
+        for regime in ("2", "4"):
+            out = tmp_path / f"r{regime}"
+            assert self._dispatch("rate", BS_CFG + "p_grid.max = 15\n", out,
+                                  regime) == 0
+            rate[regime] = _loadtxt(out / "rate.csv", usecols=(0, 1))
+        x = rate["4"][:, 0]
+        far = x != 0.0  # x0 = 0, where both rates vanish
+        assert np.array_equal(rate["2"][:, 0], x)
+        rel = np.abs(rate["2"][far, 1] / rate["4"][far, 1] - 1.0)
+        assert np.max(rel) < 1e-9
+
+    @pytest.mark.parametrize("command", COMMANDS)
+    def test_default_p_grid_exits_1_naming_it(self, command, tmp_path, capsys):
+        out = tmp_path / "out"
+        assert self._dispatch(command, BS_CFG, out) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: p_grid.max = 2.0 reaches Hbar0 slopes "
+                              "up to 0.0775")
+        assert not any(out.iterdir())
+
+
 class TestBadCount:
     """A grid count that is not an integer >= 3 is a config-syntax error
     naming its key (exit code 2); a step count below 1 is a validation
@@ -602,7 +644,8 @@ class TestSuccessPaths:
         cfg = cli.load_config(small_cfg)
         cfg = replace(cfg, regime=Regime.from_r(int(regime)))
         value = rates.option_price_log_asymptote(
-            cfg.strike, cfg.model.x0, cfg.t, cfg.regime, **cli._rate_ingredient(cfg))
+            cfg.strike, cfg.model.x0, cfg.t, cfg.regime,
+            **cli._rate_ingredient(cfg, [math.log(cfg.strike)]))
         payload = {"strike": cfg.strike, "regime": cfg.regime.r, "t": cfg.t,
                    "log_price_asymptote": value}
         got = self._run("price", small_cfg, tmp_path / "out", regime)
@@ -614,7 +657,7 @@ class TestSuccessPaths:
         sbar2 = measures.sigma_bar_sq(cfg.model)
         smile = rates.implied_vol_curve(
             cfg.model.x0, Regime.FAST, cfg.t, cfg.logk_grid(), sigma_bar_sq=sbar2,
-            legendre=cli._rate_ingredient(cfg)["legendre"])
+            legendre=cli._rate_ingredient(cfg, cfg.logk_grid())["legendre"])
         got = self._run("smile", small_cfg, tmp_path / "out", "2")
         assert got == self._expected(smile, tmp_path)
         assert smile.values[cfg.logk_count // 2] == sbar2

@@ -12,7 +12,9 @@ entry point, so neither needs a reader here.
 The same rule holds for the members of each module-level class of the
 package: every non-dunder method, property and annotated class attribute (a
 dataclass field) needs a production reader outside its own definition.  A
-keyword that sets a field in a constructor call reads nothing.
+member's reference is an attribute or a string constant naming it: a bare
+name, such as a local that shares the member's name, never reads a member,
+and a keyword that sets a field in a constructor call reads nothing.
 """
 
 import ast
@@ -37,20 +39,33 @@ EXEMPT = {
     ("poisson", "GrowthBoundReport", "log_slope"):
         "the growth check's log-log slope, a diagnostic that ROADMAP item 11 "
         "carries into the artifacts",
+    ("poisson", "GrowthBoundReport", "c1"):
+        "the growth check's bound constant, a diagnostic that ROADMAP item 11 "
+        "carries into the artifacts",
+    ("verify", "RegimeRow", "i2"):
+        "regime_compare's table column; perfbench's fast_smile reads only "
+        "ok, and perfbench changes only with ROADMAP item 2",
+    ("verify", "RegimeRow", "i4"):
+        "regime_compare's table column; perfbench's fast_smile reads only "
+        "ok, and perfbench changes only with ROADMAP item 2",
 }
 
 
-def _references(node: ast.AST) -> Counter:
+def _references(node: ast.AST, bare: bool = True) -> Counter:
+    """Names that ``node`` references; without ``bare``, only attributes
+    and string constants (the references of a class member)."""
     refs = Counter()
     for sub in ast.walk(node):
-        if isinstance(sub, ast.Name) and not isinstance(sub.ctx, ast.Store):
-            refs[sub.id] += 1
-        elif isinstance(sub, ast.Attribute):
+        if isinstance(sub, ast.Attribute):
             refs[sub.attr] += 1
-        elif isinstance(sub, ast.alias):
-            refs[sub.name.rpartition(".")[2]] += 1
         elif isinstance(sub, ast.Constant) and isinstance(sub.value, str):
             refs.update(sub.value.split("."))
+        elif not bare:
+            continue
+        elif isinstance(sub, ast.Name) and not isinstance(sub.ctx, ast.Store):
+            refs[sub.id] += 1
+        elif isinstance(sub, ast.alias):
+            refs[sub.name.rpartition(".")[2]] += 1
     return refs
 
 
@@ -73,9 +88,9 @@ def _parse(path: Path) -> ast.Module:
     return ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
 
 
-def _reader_refs(root: Path) -> Counter:
-    """References in the production readers under ``root``, without the
-    imports of each ``__init__.py``."""
+def _reader_refs(root: Path, bare: bool = True) -> Counter:
+    """References (see ``_references``) in the production readers under
+    ``root``, without the imports of each ``__init__.py``."""
     refs = Counter()
     for reader in READERS:
         for source in sorted((root / reader).rglob("*.py")):
@@ -83,7 +98,7 @@ def _reader_refs(root: Path) -> Counter:
             if source.name == "__init__.py":
                 tree.body = [node for node in tree.body
                              if not isinstance(node, (ast.Import, ast.ImportFrom))]
-            refs.update(_references(tree))
+            refs.update(_references(tree, bare))
     return refs
 
 
@@ -107,15 +122,22 @@ def _members(tree: ast.Module):
                 yield cls.name, node.target.id, node
 
 
-def _dead_members(module_tree: ast.Module, refs: Counter) -> list:
+def _dead_members(module_tree: ast.Module, member_refs: Counter) -> list:
+    """Unread members, given the readers' member references
+    (``_reader_refs(root, bare=False)``)."""
     return [(cls, name) for cls, name, node in _members(module_tree)
             if not (name.startswith("__") and name.endswith("__"))
-            and refs[name] - _references(node)[name] <= 0]
+            and member_refs[name] - _references(node, bare=False)[name] <= 0]
 
 
 @pytest.fixture(scope="module")
 def reader_refs() -> Counter:
     return _reader_refs(ROOT)
+
+
+@pytest.fixture(scope="module")
+def member_refs() -> Counter:
+    return _reader_refs(ROOT, bare=False)
 
 
 @pytest.mark.parametrize("module", sorted(p.stem for p in PACKAGE.glob("*.py")))
@@ -126,19 +148,19 @@ def test_every_top_level_name_has_a_reader(module, reader_refs):
 
 
 @pytest.mark.parametrize("module", sorted(p.stem for p in PACKAGE.glob("*.py")))
-def test_every_class_member_has_a_reader(module, reader_refs):
+def test_every_class_member_has_a_reader(module, member_refs):
     dead = [(cls, name) for cls, name
-            in _dead_members(_parse(PACKAGE / f"{module}.py"), reader_refs)
+            in _dead_members(_parse(PACKAGE / f"{module}.py"), member_refs)
             if (module, cls, name) not in EXEMPT]
     assert not dead, (f"svasym.{module} has class members no production "
                       f"code reads: {dead}")
 
 
 @pytest.mark.parametrize("entry", sorted(EXEMPT))
-def test_exempt_entry_names_an_unread_member(entry, reader_refs):
+def test_exempt_entry_names_an_unread_member(entry, member_refs):
     # an entry stays only while its member exists and nothing reads it
     module, cls, name = entry
-    dead = _dead_members(_parse(PACKAGE / f"{module}.py"), reader_refs)
+    dead = _dead_members(_parse(PACKAGE / f"{module}.py"), member_refs)
     assert (cls, name) in dead, (
         f"EXEMPT names svasym.{module}.{cls}.{name}, which is gone or now "
         "read by production code: drop the entry")
@@ -179,5 +201,26 @@ def test_guard_sees_unread_members(tmp_path):
     module = _parse(tmp_path / "src/pkg/mod.py")
     # a constructor keyword and a member's own body read nothing, and the
     # dunder __call__ is read by the interpreter
-    assert _dead_members(module, _reader_refs(tmp_path)) == [
+    assert _dead_members(module, _reader_refs(tmp_path, bare=False)) == [
         ("C", "built"), ("C", "recursive"), ("C", "tested")]
+
+
+def test_guard_sees_a_member_shadowed_by_a_local(tmp_path):
+    files = {
+        "src/pkg/mod.py": (
+            "from dataclasses import dataclass\n"
+            "@dataclass\nclass Row:\n    x: float\n    rate: float\n"),
+        "src/pkg/cli.py": (
+            "from .mod import Row\n"
+            "def table(xs):\n"
+            "    rate = [2.0 * x for x in xs]\n"
+            "    rows = [Row(x=a, rate=b) for a, b in zip(xs, rate)]\n"
+            "    return [row.x for row in rows], rate\n"),
+    }
+    for rel, text in files.items():
+        (tmp_path / rel).parent.mkdir(parents=True, exist_ok=True)
+        (tmp_path / rel).write_text(text, encoding="utf-8")
+    module = _parse(tmp_path / "src/pkg/mod.py")
+    # the local ``rate`` is a bare name: it reads no member called rate
+    assert _dead_members(module, _reader_refs(tmp_path, bare=False)) == [
+        ("Row", "rate")]

@@ -183,6 +183,27 @@ def test_conditional_tail_matches_raw_hit_count(name):
     assert resolved == len(eps_seq)
 
 
+# (regime, eps, t, steps per unit time) of C8, the mc_tail benchmark and
+# ORACLE_CASES, at each eps they run
+STEP_CASES = sorted(
+    {(Regime.ULTRA_FAST, eps, 1.0, 50) for eps in (0.5, 0.35, 0.25, 0.18)}
+    | {(Regime.ULTRA_FAST, eps, 1.0, 50) for eps in (0.6, 0.5, 0.45, 0.4)}
+    | {(regime, eps, 1.0, spu) for _, regime, _, eps_seq, spu
+       in ORACLE_CASES.values() for eps in eps_seq},
+    key=lambda c: (c[0].r, c[1:]))
+
+
+@pytest.mark.parametrize("regime, eps, t, spu", STEP_CASES)
+def test_log_tail_steps_as_simulate_xy(regime, eps, t, spu):
+    # _log_tail runs the factor on its own clock to lam t with steps of
+    # 1/spu; simulate_xy steps slow time t by (delta/eps)/spu: the same grid
+    delta = eps ** regime.r
+    lam = eps / delta
+    n_xy, _ = simulate._time_grid(t, (delta / eps) / spu)
+    n_tail, _ = simulate._time_grid(lam * t, 1.0 / spu)
+    assert n_tail == n_xy
+
+
 class TestRegimeCompare:
     def test_constant_sigma_rates_coincide(self):
         params = verify.fixture_bs()
