@@ -267,10 +267,10 @@ def _cmd_rate(cfg: RunConfig, out: str) -> int:
 
 
 def _cmd_price(cfg: RunConfig, out: str) -> int:
-    # option_price_log_asymptote rejects a strike <= 0, which has no log
-    log_k = math.log(cfg.strike) if cfg.strike > 0 else math.nan
-    value = rates.option_price_log_asymptote(cfg.strike, cfg.model.x0, cfg.t,
-                                             cfg.regime, **_rate_ingredient(cfg, log_k))
+    rates._check_strike(cfg.strike)  # before the ingredient, which may cost seconds
+    value = rates.option_price_log_asymptote(
+        cfg.strike, cfg.model.x0, cfg.t, cfg.regime,
+        **_rate_ingredient(cfg, math.log(cfg.strike)))
     _write_json(_emit(out, "price.json"),
                 {"strike": cfg.strike, "regime": cfg.regime.r, "t": cfg.t,
                  "log_price_asymptote": value})
@@ -300,6 +300,8 @@ def _cmd_simulate(cfg: RunConfig, out: str, raw: bool = False) -> int:
 
 
 def _cmd_verify_ldp(cfg: RunConfig, out: str) -> int:
+    # ldp_tail's own checks before the ingredient, which may cost seconds
+    verify._check_tail(cfg.model, cfg.x_target, cfg.eps_sequence, cfg.mc)
     report = verify.ldp_tail(cfg.model, cfg.regime, cfg.x_target, cfg.t,
                              cfg.eps_sequence, cfg.mc,
                              **_rate_ingredient(cfg, cfg.x_target))

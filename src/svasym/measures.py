@@ -13,6 +13,7 @@ the base factor process.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from typing import Callable, Optional, Tuple
 
@@ -34,6 +35,10 @@ class GridSpec:
     n: int = DEFAULT_GRID_N
     y_lo: Optional[float] = None
     y_hi: Optional[float] = None
+
+    def __post_init__(self):
+        if isinstance(self.n, bool) or not isinstance(self.n, numbers.Integral) or self.n < 3:
+            raise ValidationError(f"GridSpec.n must be an integer >= 3, got {self.n!r}")
 
 
 @dataclass(frozen=True)

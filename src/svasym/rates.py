@@ -145,6 +145,12 @@ def lax_solution(h_grid: Sequence[float], h_values: Sequence[float], t: float,
     return float(out[0]) if scalar else out
 
 
+def _check_strike(K: float) -> None:
+    """A strike has a log only above 0."""
+    if K <= 0:
+        raise ValidationError("strike must be > 0")
+
+
 def option_price_log_asymptote(K: float, x0: float, t: float, regime: Regime, *,
                                sigma_bar_sq: Optional[float] = None,
                                legendre: Optional[LegendreCurve] = None) -> float:
@@ -155,8 +161,7 @@ def option_price_log_asymptote(K: float, x0: float, t: float, regime: Regime, *,
     ATM_BAND of the money trigger ATMWarning because the asymptote
     degenerates to 0.
     """
-    if K <= 0:
-        raise ValidationError("strike must be > 0")
+    _check_strike(K)
     log_k = math.log(K)
     if abs(log_k - x0) < ATM_BAND:
         # the rate at no point: checks t and the regime's ingredient as

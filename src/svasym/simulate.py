@@ -18,6 +18,14 @@ SVASYM_THREADS, 0 or unset meaning auto).  A computation that runs several
 simulations from one seed gives simulation k the seed ``substream_seed(seed,
 k)``, never seed arithmetic.
 
+The calling thread allocates every path-sized buffer: the result arrays
+once, and each block's stepper state, accumulators and scratch as its wave
+of blocks (one per worker) comes up.  The block threads only step those
+buffers, in place; the only arrays they make are the values of
+``ergodic_average``'s phi and of the ``h`` drift.  So the buffers come from
+the calling thread's heap, not from the arenas of short-lived threads,
+whose freed blocks would stay resident between calls.
+
 The tilted factor process (``simulate_tilted``) accumulates
 I = int sigma^2 ds and J = int sigma dW2.  Every reader of J multiplies it
 by rho, and at rho = 0 the tilt drift is 0 too, so there J reads 0 and is
@@ -32,7 +40,9 @@ import os
 import struct
 import warnings
 from concurrent.futures import ThreadPoolExecutor
+from contextlib import nullcontext
 from dataclasses import dataclass
+from functools import partial
 from typing import Callable, Optional, Tuple
 
 import numpy as np
@@ -142,18 +152,28 @@ def _block_rng(seed: int, block: int) -> np.random.Generator:
         np.random.SeedSequence(seed, spawn_key=(block,))))
 
 
-def _map_blocks(n_paths: int, seed: int, fn: Callable[[np.random.Generator, int], tuple]):
-    """Run fn over ceil(n_paths / BLOCK_PATHS) path blocks whose sizes differ
-    by at most one path, merging results in block order."""
+def _map_blocks(n_paths: int, seed: int,
+                job: Callable[[np.random.Generator, int, int], Callable[[], object]]) -> list:
+    """Run ceil(n_paths / BLOCK_PATHS) path blocks whose sizes differ by at
+    most one path, and return their results in block order.
+
+    A block job has two phases.  ``job(rng, lo, hi)`` runs on the calling
+    thread and allocates the buffers of paths [lo, hi); the step function it
+    returns runs on a block thread, steps those buffers and returns the
+    block's result.  Blocks go in waves of one per worker, each wave
+    allocated as it starts and freed when it ends."""
     n_blocks = -(-n_paths // BLOCK_PATHS)
     size, extra = divmod(n_paths, n_blocks)
-    jobs = [(i, size + (i < extra)) for i in range(n_blocks)]
-    workers = min(_worker_count(), len(jobs))
-    if workers <= 1:
-        return [fn(_block_rng(seed, i), s) for i, s in jobs]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        futs = [pool.submit(fn, _block_rng(seed, i), s) for i, s in jobs]
-        return [f.result() for f in futs]
+    bounds = [i * size + min(i, extra) for i in range(n_blocks + 1)]
+    workers = min(_worker_count(), n_blocks)
+    results = []
+    with ThreadPoolExecutor(max_workers=workers) if workers > 1 else nullcontext() as pool:
+        run = pool.map if pool else map
+        for first in range(0, n_blocks, workers):
+            results += run(lambda step: step(),
+                           [job(_block_rng(seed, i), bounds[i], bounds[i + 1])
+                            for i in range(first, min(first + workers, n_blocks))])
+    return results
 
 
 def _check_mc(params: ModelParams, mc: McConfig) -> None:
@@ -181,6 +201,8 @@ def _time_grid(t: float, dt: float) -> Tuple[int, float]:
 class _FactorStepper:
     """The factor process on one path block, stepped in preallocated buffers.
 
+    The state ``y``, the caller's buffer, is filled with y0 and stepped in
+    place; the scratch is allocated by the thread that builds the stepper.
     Each step of :meth:`steps` draws the normals into ``w`` (rows W1, W2 when
     ``correlated``, else W2 alone), clamps the state into ``yp``, yields to
     the caller's accumulators, then advances ``y``.  beta = 0 uses the exact
@@ -195,14 +217,15 @@ class _FactorStepper:
     m = 0, times lam at lam = 1) are skipped.
     """
 
-    def __init__(self, params: ModelParams, rng: np.random.Generator, n: int,
+    def __init__(self, params: ModelParams, rng: np.random.Generator, y: np.ndarray,
                  y0: float, lam: float, dt: float, *,
                  correlated: bool = False, tilt: float = 0.0, h=None):
         self.params, self.rng, self.lam, self.dt = params, rng, lam, dt
         self.tilt, self.h = tilt, h
-        self.truncated = 0
+        n = y.size
         self.w = np.empty((2 if correlated else 1, n))
-        self.y = np.full(n, y0)
+        self.y = y
+        y.fill(y0)
         self._sig, self._sig_ok = np.empty(n), False
         # scratch only for the parts of the step this block runs
         self._mix = np.empty(n) if correlated and params.rho != 0.0 else None
@@ -233,12 +256,13 @@ class _FactorStepper:
         self._sig_ok = False
         return _sigma_sq_into(self.params.sigma, self._state(), self._sig)
 
-    def terminal(self, *also: np.ndarray) -> np.ndarray:
-        """The final state, clamped at 0 when beta != 0; raises StabilityError
-        if it, or any array in ``also``, is not finite."""
+    def terminal(self, *also: np.ndarray) -> None:
+        """Clamp the final state at 0 in place when beta != 0; raises
+        StabilityError if it, or any array in ``also``, is not finite."""
         if not all(np.all(np.isfinite(a)) for a in (*also, self.y)):
             raise StabilityError("non-finite state encountered; step too coarse")
-        return np.maximum(self.y, 0.0) if self.params.beta != 0.0 else self.y
+        if self.params.beta != 0.0:
+            np.maximum(self.y, 0.0, out=self.y)
 
     def steps(self, n_steps: int):
         rho, w1, w2 = self.params.rho, self.w[0], self.w[-1]
@@ -300,7 +324,6 @@ class _FactorStepper:
         ypb *= self._noise
         ypb *= w2
         y += ypb
-        self.truncated += int(np.count_nonzero(y < 0.0))
 
 
 def simulate_xy(params: ModelParams, regime: Regime, eps: float, t: float,
@@ -315,19 +338,46 @@ def simulate_xy(params: ModelParams, regime: Regime, eps: float, t: float,
     n_steps, dt = _time_grid(t, (delta / eps) / mc.steps_per_unit_time)
     sq_dt = math.sqrt(dt)
 
-    def run(rng: np.random.Generator, n: int):
-        st = _FactorStepper(params, rng, n, params.y0, lam, dt, correlated=True)
-        x = np.full(n, params.x0)
-        w1 = st.w[0]
-        for _ in st.steps(n_steps):
-            sig = st.sigma()
-            dw1 = sq_dt * w1
-            x += eps * (params.r - 0.5 * (sig * sig)) * dt + math.sqrt(eps) * sig * dw1
-        return x, st.terminal(x), st.truncated
+    x, y = np.full(mc.paths, params.x0), np.empty(mc.paths)
+    clamped = params.beta != 0.0
 
-    x, y, truncated = zip(*_map_blocks(mc.paths, mc.seed, run))
-    return PathBatch(x=np.concatenate(x), y=np.concatenate(y),
-                     truncated_fraction=sum(truncated) / (mc.paths * n_steps),
+    def run(st: _FactorStepper, x: np.ndarray, a: np.ndarray, b: np.ndarray,
+            below: Optional[np.ndarray]) -> int:
+        """Step one block; returns how many times an Euler step left a path
+        below 0, counted only here, the one reader."""
+        def truncated() -> int:
+            return int(np.count_nonzero(np.less(st.y, 0.0, out=below))) if clamped else 0
+
+        count, w1 = 0, st.w[0]
+        for k in st.steps(n_steps):
+            if k:
+                count += truncated()
+            # x += eps (r - sig^2 / 2) dt + sqrt(eps) sig dW1, dW1 = sqrt(dt) W1
+            # in place in W1, which the step has already mixed into W2
+            sig = st.sigma()
+            w1 *= sq_dt
+            np.multiply(sig, sig, out=a)
+            a *= 0.5
+            np.subtract(params.r, a, out=a)
+            a *= eps
+            a *= dt
+            np.multiply(sig, math.sqrt(eps), out=b)
+            b *= w1
+            a += b
+            x += a
+        count += truncated()
+        st.terminal(x)  # clamps y in place
+        return count
+
+    def job(rng: np.random.Generator, lo: int, hi: int):
+        n = hi - lo
+        return partial(run, _FactorStepper(params, rng, y[lo:hi], params.y0, lam, dt,
+                                           correlated=True),
+                       x[lo:hi], np.empty(n), np.empty(n),
+                       np.empty(n, dtype=bool) if clamped else None)
+
+    n_truncated = sum(_map_blocks(mc.paths, mc.seed, job))
+    return PathBatch(x=x, y=y, truncated_fraction=n_truncated / (mc.paths * n_steps),
                      seed=mc.seed, n_steps=n_steps, dt=dt)
 
 
@@ -344,8 +394,8 @@ def _tilted_loop(params: ModelParams, T: float, mc: McConfig, p: float, h,
     if h is not None:
         grid = np.asarray(h[0], dtype=float)
         h = (grid, np.gradient(np.asarray(h[1], dtype=float), grid))
-    return n_steps, dt, int(round(burn_in / dt)), lambda rng, n: _FactorStepper(
-        params, rng, n, y0, 1.0, dt, tilt=params.rho * p, h=h)
+    return n_steps, dt, int(round(burn_in / dt)), lambda rng, y: _FactorStepper(
+        params, rng, y, y0, 1.0, dt, tilt=params.rho * p, h=h)
 
 
 def simulate_tilted(params: ModelParams, T: float, mc: McConfig, *,
@@ -363,23 +413,32 @@ def simulate_tilted(params: ModelParams, T: float, mc: McConfig, *,
     n_steps, dt, burn_steps, stepper = _tilted_loop(params, T, mc, p, h, y_start, burn_in)
     sq_dt = math.sqrt(dt)
 
-    def run(rng: np.random.Generator, n: int):
-        st = stepper(rng, n)
-        iss, isw2 = np.zeros(n), np.zeros(n)
+    y, iss, isw2 = np.empty(mc.paths), np.zeros(mc.paths), np.zeros(mc.paths)
+
+    def run(st: _FactorStepper, iss: np.ndarray, isw2: np.ndarray,
+            a: Optional[np.ndarray]) -> None:
         for k in st.steps(n_steps):
             if k < burn_steps:
                 continue
-            if params.rho == 0.0:  # J is read only times rho: it stays 0
+            if a is None:  # J is read only times rho: it stays 0
                 sig_sq = st.sigma_sq()
                 sig_sq *= dt
                 iss += sig_sq
-            else:
+            else:  # I += sig^2 dt, J += sig sqrt(dt) W2, in the scratch a
                 sig = st.sigma()
-                iss += sig * sig * dt
-                isw2 += sig * sq_dt * st.w[0]
-        return st.terminal(iss, isw2), iss, isw2
+                np.multiply(sig, sig, out=a)
+                a *= dt
+                iss += a
+                np.multiply(sig, sq_dt, out=a)
+                a *= st.w[0]
+                isw2 += a
+        st.terminal(iss, isw2)
 
-    y, iss, isw2 = (np.concatenate(col) for col in zip(*_map_blocks(mc.paths, mc.seed, run)))
+    def job(rng: np.random.Generator, lo: int, hi: int):
+        return partial(run, stepper(rng, y[lo:hi]), iss[lo:hi], isw2[lo:hi],
+                       np.empty(hi - lo) if params.rho != 0.0 else None)
+
+    _map_blocks(mc.paths, mc.seed, job)
     return TiltedBatch(y=y, int_sigma_sq=iss, int_sigma_dw2=isw2,
                        duration=T - burn_steps * dt, seed=mc.seed)
 
@@ -399,9 +458,7 @@ def ergodic_average(params: ModelParams, phi: Callable[[np.ndarray], np.ndarray]
     n_steps, dt, burn_steps, stepper = _tilted_loop(params, T, mc, 0.0, None, None, T / 10.0)
     acc_steps = n_steps - burn_steps
 
-    def run(rng: np.random.Generator, n: int):
-        st = stepper(rng, n)
-        batches = np.zeros((n_batches, n))  # one contiguous row per batch
+    def run(st: _FactorStepper, batches: np.ndarray) -> np.ndarray:
         for k in st.steps(n_steps):
             if k >= burn_steps:
                 b = min((k - burn_steps) * n_batches // acc_steps, n_batches - 1)
@@ -409,19 +466,27 @@ def ergodic_average(params: ModelParams, phi: Callable[[np.ndarray], np.ndarray]
         st.terminal(batches)
         return batches
 
-    # C order (paths, n_batches), so each path's batch sum below runs along a row
-    batches = np.concatenate([q.T for q in _map_blocks(mc.paths, mc.seed, run)],
-                             out=np.empty((mc.paths, n_batches)))
+    def job(rng: np.random.Generator, lo: int, hi: int):
+        # one contiguous row per batch
+        return partial(run, stepper(rng, np.empty(hi - lo)), np.zeros((n_batches, hi - lo)))
+
+    # C order (paths, n_batches), so each path's batch sum below runs along a
+    # row; made once the blocks' steppers are gone
+    table = np.concatenate([q.T for q in _map_blocks(mc.paths, mc.seed, job)],
+                           out=np.empty((mc.paths, n_batches)))
     per_batch_steps = np.bincount(
         np.minimum(np.arange(acc_steps) * n_batches // acc_steps, n_batches - 1),
         minlength=n_batches)
-    batch_means = batches / per_batch_steps  # (paths, n_batches)
-    path_means = batches.sum(axis=1) / acc_steps
+    # the statistics are reduced inside the table: sums, then batch means,
+    # then their deviations from the path mean, then those squared
+    path_means = table.sum(axis=1) / acc_steps
     value = float(np.mean(path_means))
     se = float(np.std(path_means, ddof=1) / math.sqrt(mc.paths)) if mc.paths > 1 else 0.0
-    centered = batch_means - path_means[:, None]
-    num = float(np.sum(centered[:, :-1] * centered[:, 1:]))
-    den = float(np.sum(centered * centered))
+    table /= per_batch_steps
+    table -= path_means[:, None]
+    num = float(np.sum(table[:, :-1] * table[:, 1:]))
+    table *= table
+    den = float(np.sum(table))
     if den > 0 and num / den > 0.5:
         warnings.warn("within-path time batches are strongly autocorrelated; "
                       "increase T for a trustworthy error bar", VarianceWarning)

@@ -122,6 +122,21 @@ def _log_tail(params: ModelParams, regime: Regime, eps: float, t: float,
     return top + math.log(mean), math.sqrt(var / n) / mean
 
 
+def _check_tail(params: ModelParams, x: float, eps_sequence: Sequence[float],
+                mc: simulate.McConfig) -> tuple:
+    """``ldp_tail``'s checks of its target, eps sequence and Monte Carlo
+    budget; returns the eps sequence as a tuple of floats."""
+    if x == params.x0:
+        raise ValidationError("the tail target x must differ from x0")
+    eps_sequence = tuple(float(e) for e in eps_sequence)
+    if any(b >= a for a, b in zip(eps_sequence, eps_sequence[1:])):
+        raise ValidationError("eps_sequence must be strictly decreasing")
+    simulate._check_mc(params, mc)
+    if not all(0.0 < e <= 1.0 for e in eps_sequence):
+        raise ValidationError("eps must lie in (0, 1]")
+    return eps_sequence
+
+
 def ldp_tail(params: ModelParams, regime: Regime, x: float, t: float,
              eps_sequence: Sequence[float], mc: simulate.McConfig, *,
              sigma_bar_sq: Optional[float] = None,
@@ -139,14 +154,7 @@ def ldp_tail(params: ModelParams, regime: Regime, x: float, t: float,
     for r = 4, ``legendre`` for r = 2), by a Spearman sign test, and the
     final point lies within max(15% relative, its CI width) of it.
     """
-    if x == params.x0:
-        raise ValidationError("the tail target x must differ from x0")
-    eps_sequence = tuple(float(e) for e in eps_sequence)
-    if any(b >= a for a, b in zip(eps_sequence, eps_sequence[1:])):
-        raise ValidationError("eps_sequence must be strictly decreasing")
-    simulate._check_mc(params, mc)
-    if not all(0.0 < e <= 1.0 for e in eps_sequence):
-        raise ValidationError("eps must lie in (0, 1]")
+    eps_sequence = _check_tail(params, x, eps_sequence, mc)
     _check_time(t)
     upper = x > params.x0
     predicted = -rates._rate(regime, x, params.x0, t, sigma_bar_sq, legendre)

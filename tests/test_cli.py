@@ -478,6 +478,37 @@ class TestFastRegimeConstantSigma:
         assert not any(out.iterdir())
 
 
+class TestOwnChecksFirst:
+    """price and verify-ldp check their own inputs before the fast regime's
+    ingredient, so a bad strike or tail input exits 1 without building the
+    eigen Hamiltonian."""
+
+    @pytest.mark.parametrize("command, line, error", [
+        ("price", "strike = -1", "strike must be > 0"),
+        ("price", "strike = 0", "strike must be > 0"),
+        ("verify-ldp", "x_target = 0", "the tail target x must differ from x0"),
+        ("verify-ldp", "eps_sequence = 0.2 0.3",
+         "eps_sequence must be strictly decreasing"),
+        ("verify-ldp", "eps_sequence = 1.5 0.5", "eps must lie in (0, 1]"),
+        ("verify-ldp", "mc.steps_per_unit_time = 0",
+         "steps_per_unit_time must be >= 1"),
+    ])
+    def test_exit_1_without_the_eigen_curve(self, command, line, error, tmp_path,
+                                            capsys, monkeypatch):
+        def build_curve(*args, **kwargs):
+            raise AssertionError("build_curve called")
+
+        monkeypatch.setattr(hamiltonian, "build_curve", build_curve)
+        text, _ = _with_line(line, BS_CFG + "p_grid.max = 15\n")
+        path = tmp_path / "own.cfg"
+        path.write_text(text, encoding="utf-8")
+        out = tmp_path / "out"
+        assert cli.dispatch([command, "--config", str(path), "--out", str(out),
+                             "--regime", "2"]) == 1
+        assert capsys.readouterr().err == f"error: {error}\n"
+        assert not any(out.iterdir())
+
+
 class TestBadCount:
     """A grid count that is not an integer >= 3 is a config-syntax error
     naming its key (exit code 2); a step count below 1 is a validation

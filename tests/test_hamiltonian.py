@@ -21,6 +21,12 @@ CONST = ModelParams(m=0.0, nu=math.sqrt(2.0), beta=0.0, rho=0.0, r=0.0,
 
 
 class TestEigen:
+    # GridSpec rejects a count below 3 before the eigen route indexes it
+    @pytest.mark.parametrize("n", [0, 1, 2, 64.0, True])
+    def test_grid_count_must_be_an_integer_of_at_least_3(self, n):
+        with pytest.raises(ValidationError, match="GridSpec.n must be an integer >= 3"):
+            ham.hbar0_eigen(OU, 1.0, grid_spec=measures.GridSpec(n=n))
+
     def test_constant_sigma_quadratic(self):
         # with sigma frozen the functional is deterministic:
         # Hbar0(p) = sigma0^2 p^2 / 2 exactly, and the potential's bracket

@@ -8,7 +8,7 @@ from scipy.stats import gamma as gamma_dist
 from scipy.stats import norm
 
 from svasym import measures
-from svasym.errors import GridMismatchError
+from svasym.errors import GridMismatchError, ValidationError
 from svasym.model import ModelParams, VolFnSpec
 
 from golden import digest
@@ -21,6 +21,13 @@ CIR = ModelParams(m=1.0, nu=1.0, beta=0.5, rho=0.0, r=0.0,
 
 
 class TestInvariantDensity:
+    # a grid of fewer than 3 points, or a count that is not an integer, is a
+    # ValidationError from GridSpec itself, not an IndexError in the layers
+    @pytest.mark.parametrize("n", [0, 1, 2, 64.0, True])
+    def test_grid_count_must_be_an_integer_of_at_least_3(self, n):
+        with pytest.raises(ValidationError, match="GridSpec.n must be an integer >= 3"):
+            measures.invariant_density(OU, 0.0, measures.GridSpec(n=n))
+
     def test_gaussian_factor_is_standard_normal(self):
         tab = measures.invariant_density(OU)
         dev = np.max(np.abs(tab.values - norm.pdf(tab.grid)))

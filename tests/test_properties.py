@@ -1,6 +1,6 @@
 """Property tests: the rho -> -rho mirror of the Hamiltonian and the fast
-rate, Fenchel-Young for the sampled Legendre transform, and the config
-document round trip.  The examples are drawn by the derandomized profile
+rate, Fenchel-Young for the sampled Legendre transform, the Legendre round
+trip back to the convex hull, and the config document round trip.  The examples are drawn by the derandomized profile
 of conftest.py, so every run checks the same ones."""
 
 from dataclasses import replace
@@ -82,6 +82,36 @@ def test_legendre_satisfies_fenchel_young(a, b, c, p_max, n_half, q_scale):
     gap = leg.values[:, None] + h[None, :] - q[:, None] * p[None, :]
     scale = 1.0 + np.abs(q[:, None] * p[None, :]) + np.abs(h[None, :])
     assert np.all(gap >= -1e-12 * scale)
+
+
+# --- the Legendre round trip ---------------------------------------------------
+# legendre transforms the convex hull of the samples, so conjugating its table
+# back onto the p grid gives the hull.  Each scan refines its argmax by a
+# parabola, which overshoots a kink by at most spacing x slope jump / 8: the
+# hull's slopes jump by at most max(diff(slopes)) at a p node, and the
+# table's slopes, its maximizing p, by at most the p range at a q node.
+
+@settings(max_examples=60)
+@given(a=st.floats(0.01, 2.0), b=st.floats(0.0, 0.5), c=st.floats(-1.0, 1.0),
+       p_max=st.floats(0.5, 4.0), n_half=st.integers(2, 40),
+       dents=st.lists(st.tuples(st.integers(0, 80), st.floats(0.0, 1.0)),
+                      max_size=4),
+       n_q=st.integers(3, 400))
+def test_legendre_round_trip_gives_the_hull(a, b, c, p_max, n_half, dents, n_q):
+    p = np.linspace(-p_max, p_max, 2 * n_half + 1)
+    h = a * p * p + b * p ** 4 + c * p
+    for i, size in dents:  # concave dents, which the hull repairs
+        h[i % p.size] += size * a * p_max ** 2
+    curve = ham.HamiltonianCurve(p_grid=p, values=h, errors=np.zeros_like(p))
+    hull = ham._convex_hull_values(p, h)
+    slopes = np.diff(hull) / np.diff(p)
+    q = np.linspace(slopes[0], slopes[-1], n_q)
+    leg = ham.legendre(curve, q)
+    back, _, _ = ham.conjugate(leg.q_grid, leg.values, p)
+    bound = ((p[1] - p[0]) * np.max(np.diff(slopes))
+             + (q[1] - q[0]) * (p[-1] - p[0])) / 8.0
+    scale = 1.0 + np.max(np.abs(hull)) + p_max * np.max(np.abs(slopes))
+    assert np.all(np.abs(back - hull) <= bound + 1e-12 * scale)
 
 
 # --- config round trip --------------------------------------------------------

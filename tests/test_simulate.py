@@ -1,6 +1,8 @@
 import math
 import os
 import struct
+import threading
+import tracemalloc
 import warnings
 from dataclasses import replace
 
@@ -64,10 +66,31 @@ class TestSimulateXY:
 
     @pytest.mark.parametrize("paths", [1, 65536, 65537, 100_000, 200_000])
     def test_blocks_are_balanced(self, paths):
-        # 1e5 paths run as 2 x 50000, not 65536 + 34464
-        sizes = simulate._map_blocks(paths, 0, lambda rng, n: n)
-        assert len(sizes) == -(-paths // simulate.BLOCK_PATHS)
-        assert sum(sizes) == paths and max(sizes) - min(sizes) <= 1
+        # 1e5 paths run as 2 x 50000, not 65536 + 34464; the blocks tile
+        # [0, paths) in order
+        spans = simulate._map_blocks(paths, 0, lambda rng, lo, hi: lambda: (lo, hi))
+        assert len(spans) == -(-paths // simulate.BLOCK_PATHS)
+        assert [lo for lo, _ in spans] == [0] + [hi for _, hi in spans[:-1]]
+        assert spans[-1][1] == paths
+        sizes = [hi - lo for lo, hi in spans]
+        assert max(sizes) - min(sizes) <= 1
+
+    @pytest.mark.parametrize("threads", ["1", "2"])
+    def test_calling_thread_allocates_one_wave_at_a_time(self, threads, monkeypatch):
+        # five blocks: the calling thread prepares each (the allocation
+        # phase) and holds at most one block per worker that has not run
+        monkeypatch.setenv("SVASYM_THREADS", threads)
+        caller, prepared, ran = threading.get_ident(), [], []
+
+        def job(rng, lo, hi):
+            assert threading.get_ident() == caller
+            assert len(prepared) - len(ran) < int(threads)
+            prepared.append(lo)
+            return lambda: ran.append(lo) or threading.get_ident()
+
+        idents = simulate._map_blocks(5 * simulate.BLOCK_PATHS, 0, job)
+        assert sorted(ran) == prepared and len(prepared) == 5
+        assert (caller in idents) == (threads == "1")
 
     def test_positivity_of_square_root_factor(self):
         mc = simulate.McConfig(paths=2_000, steps_per_unit_time=100, seed=3)
@@ -187,6 +210,30 @@ class TestTiltedAndErgodic:
         mc = simulate.McConfig(paths=10)
         with pytest.raises(ValidationError):
             simulate.simulate_tilted(OU, 1.0, mc, burn_in=1.0)
+
+
+class TestErgodicMemory:
+    """ergodic_average reduces its statistics inside its (paths, 8) batch
+    table.  At two blocks the traced peak is that table plus the blocks'
+    (8, n) tables it is merged from: 16.13 MiB, 2.02 tables, at 1 and 2
+    threads (33.0 MiB while batch means, deviations and their square each
+    took a copy).  The bound of 2.5 tables leaves 3.9 MiB of margin, half
+    of what one more path-sized copy of the table would add."""
+
+    @pytest.mark.parametrize("threads", ["1", "2"])
+    def test_traced_peak_is_bounded(self, threads, monkeypatch):
+        monkeypatch.setenv("SVASYM_THREADS", threads)
+        mc = simulate.McConfig(paths=2 * simulate.BLOCK_PATHS, seed=3)
+        table_bytes = mc.paths * 8 * 8
+        tracemalloc.start()
+        try:
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", VarianceWarning)
+                simulate.ergodic_average(CIR, lambda y: y, 0.2, mc)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2.5 * table_bytes
 
 
 class TestUncorrelatedTilted:
