@@ -96,8 +96,6 @@ _RUN_KEYS = (
     ("mc.steps_per_unit_time", "mc.steps_per_unit_time", _int),
     ("mc.seed", "mc.seed", _int),
     ("grid.n", "grid.n", _count),
-    ("grid.y_lo", "grid.y_lo", float),
-    ("grid.y_hi", "grid.y_hi", float),
     ("p_grid.max", "p_grid_max", float),
     ("p_grid.count", "p_grid_count", _count),
     ("x_grid.min", "x_grid_min", float),
@@ -170,8 +168,7 @@ def write_config(cfg: RunConfig, path: str) -> None:
         value = reduce(getattr, attr.split("."), cfg)
         if isinstance(value, tuple):
             value = " ".join(map(str, value))
-        if value is not None:
-            doc[key] = value.r if isinstance(value, Regime) else value
+        doc[key] = value.r if isinstance(value, Regime) else value
     with open(path, "w", encoding="utf-8") as fh:
         for key in sorted(doc):
             fh.write(f"{key} = {doc[key]}\n")

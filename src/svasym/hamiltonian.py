@@ -37,7 +37,7 @@ from scipy.linalg.lapack import dstebz, dstein
 
 from .errors import (ConvexityError, RangeError, ResolutionError,
                      TruncationError, ValidationError, VarianceWarning)
-from .measures import (GridSpec, _choose_window, _make_grid, _resolve_window,
+from .measures import (GridSpec, _choose_window, _make_grid,
                        _richardson, density_on_grid, invariant_density)
 from .model import (ModelParams, _check_momentum, _diffusion_sq, _write_csv,
                     sigma_eval)
@@ -199,7 +199,7 @@ def hbar0_eigen(params: ModelParams, p: float, *,
     if p == 0.0:
         return 0.0, 0.0
     spec = grid_spec or GridSpec()
-    y_lo, y_hi = _resolve_window(params, spec, lambda: _choose_window(params, p))
+    y_lo, y_hi = _choose_window(params, p)
 
     n = spec.n if spec.n % 2 == 1 else spec.n + 1
     for _ in range(MAX_WINDOW_GROWTH):

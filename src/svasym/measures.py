@@ -33,8 +33,6 @@ SIGMA_BAR_REL_TOL = 1e-6  # Richardson error target of sigma_bar_sq
 @dataclass(frozen=True)
 class GridSpec:
     n: int = DEFAULT_GRID_N
-    y_lo: Optional[float] = None
-    y_hi: Optional[float] = None
 
     def __post_init__(self):
         if isinstance(self.n, bool) or not isinstance(self.n, numbers.Integral) or self.n < 3:
@@ -145,26 +143,6 @@ def _choose_window(params: ModelParams, pv: float):
     raise TruncationError("window expansion failed to capture the invariant mass")
 
 
-def _resolve_window(params: ModelParams, spec: GridSpec,
-                    auto: Callable[[], Tuple[float, float]]):
-    """The window (y_lo, y_hi) of ``spec``: each bound it sets, and the
-    ``auto()`` window's bound for each it leaves unset (auto is called
-    only then).  ValidationError naming the keys if a set bound lies
-    outside the state space, or if the window is empty."""
-    given = {key: bound for key, bound in (("grid.y_lo", spec.y_lo),
-                                           ("grid.y_hi", spec.y_hi))
-             if bound is not None}
-    for key, bound in given.items():
-        if not params.in_state_space(bound):
-            raise ValidationError(f"{key} = {bound!r} lies outside the state space")
-    y_lo, y_hi = auto() if len(given) < 2 else (None, None)
-    y_lo, y_hi = given.get("grid.y_lo", y_lo), given.get("grid.y_hi", y_hi)
-    if not y_lo < y_hi:
-        raise ValidationError(f"empty window [{y_lo!r}, {y_hi!r}] from "
-                              + " and ".join(given))
-    return y_lo, y_hi
-
-
 def invariant_density(params: ModelParams, p: float = 0.0,
                       grid_spec: Optional[GridSpec] = None) -> DensityTable:
     """Invariant law of the (tilted) factor process on an auto-chosen window.
@@ -176,7 +154,7 @@ def invariant_density(params: ModelParams, p: float = 0.0,
     """
     p = _check_momentum(p)
     spec = grid_spec or GridSpec()
-    y_lo, y_hi = _resolve_window(params, spec, lambda: _choose_window(params, p))
+    y_lo, y_hi = _choose_window(params, p)
     table = density_on_grid(params, p, _make_grid(params, y_lo, y_hi, spec.n))
     z = table.norm_constant
     if not math.isfinite(z) or z <= 0:

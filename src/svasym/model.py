@@ -112,12 +112,6 @@ class ModelParams:
     y0: float
     x0: float = 0.0
 
-    def in_state_space(self, y) -> np.ndarray:
-        y = np.asarray(y, dtype=float)
-        if self.beta == 0.0:
-            return np.isfinite(y)
-        return np.isfinite(y) & (y > 0.0)
-
 
 @dataclass(frozen=True)
 class ClauseResult:
@@ -303,7 +297,7 @@ def _check_momentum(p) -> float:
 
 # --- flat-document serialization -------------------------------------------
 
-_SIGMA_KEYS = {"sigma.kind", "sigma.s0", "sigma.c", "sigma.q", "sigma.a", "sigma.growth"}
+_SIGMA_KEYS = {"sigma.kind", "sigma.s0", "sigma.c", "sigma.q", "sigma.a"}
 MODEL_KEYS = {"m", "nu", "beta", "rho", "rate", "y0", "x0"} | _SIGMA_KEYS
 
 
@@ -329,7 +323,6 @@ def to_doc(params: ModelParams) -> dict:
         "m": params.m, "nu": params.nu, "beta": params.beta, "rho": params.rho,
         "rate": params.r, "y0": params.y0, "x0": params.x0,
         "sigma.kind": params.sigma.kind,
-        "sigma.growth": params.sigma.growth_exponent,
     }
     if params.sigma.kind == "constant":
         doc["sigma.s0"] = params.sigma.s0
@@ -356,11 +349,6 @@ def from_doc(doc: dict) -> ModelParams:
                                    float(doc.get("sigma.a", 0.0)))
     else:
         raise ValidationError(f"unknown sigma.kind {kind!r} in model document")
-    # the growth exponent follows from the kind; a stated one must agree
-    if "sigma.growth" in doc and float(doc["sigma.growth"]) != spec.growth_exponent:
-        raise ValidationError(
-            f"sigma.growth = {doc['sigma.growth']} disagrees with the growth "
-            f"exponent {spec.growth_exponent} that sigma.kind = {kind} implies")
     beta = float(doc["beta"])
     if beta != 0.0 and "y0" not in doc:
         raise ValidationError(

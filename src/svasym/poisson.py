@@ -25,9 +25,8 @@ import numpy as np
 from scipy.integrate import cumulative_trapezoid
 
 from .errors import CenteringError, NotApplicableError
-from .measures import (GridSpec, _choose_window, _make_grid, _resolve_window,
-                       _start_window, density_on_grid, apply_generator,
-                       sigma_bar_sq)
+from .measures import (GridSpec, _choose_window, _make_grid, _start_window,
+                       density_on_grid, apply_generator, sigma_bar_sq)
 from .model import (ModelParams, _check_momentum, _diffusion_sq, _write_csv,
                     sigma_eval)
 
@@ -89,7 +88,7 @@ def solve_corrector(params: ModelParams, p: float,
     (``sigma_bar_sq``) beyond 1e-5 — the signal of an inconsistent window or
     tolerance.
 
-    The automatic window is the invariant law's (``_choose_window``) for
+    The window is the invariant law's (``_choose_window``) for
     beta != 0.  For beta = 0 it is the start window unexpanded, six standard
     deviations of the Gaussian factor about m: its tail mass (~1e-9) is far
     below the corrector's discretization error, while the tighter spacing
@@ -99,10 +98,9 @@ def solve_corrector(params: ModelParams, p: float,
     ValidationError if p is not finite.
     """
     p = _check_momentum(p)
-    auto = ((lambda: _start_window(params)) if params.beta == 0.0
-            else (lambda: _choose_window(params, 0.0)))
     spec = grid_spec or GridSpec()
-    y_lo, y_hi = _resolve_window(params, spec, auto)
+    y_lo, y_hi = (_start_window(params) if params.beta == 0.0
+                  else _choose_window(params, 0.0))
     y_fine = _corrector_grid(params, y_lo, y_hi, spec.n)
     fine = density_on_grid(params, 0.0, y_fine)
     w = fine.values

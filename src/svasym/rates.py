@@ -179,13 +179,14 @@ def implied_vol_curve(x0: float, regime: Regime, t: float,
                       legendre: Optional[LegendreCurve] = None) -> SmileCurve:
     """Asymptotic implied-variance smile  (log K - x0)^2 / (2 I_r t).
 
-    The formula is 0/0 at the money; strikes inside the exclusion band (one
-    grid resolution, ATM_BAND for a single strike) are filled with the
-    at-the-money limit, which equals the averaged variance.
+    The formula is 0/0 at the money; strikes inside the exclusion band (the
+    grid's smallest absolute spacing, at least ATM_BAND) are filled with
+    the at-the-money limit, which equals the averaged variance.
     """
     _check_sigma_bar_sq(sigma_bar_sq)
     logK_grid = np.asarray(logK_grid, dtype=float)
-    atm_band = float(np.min(np.diff(logK_grid))) if logK_grid.size > 1 else ATM_BAND
+    atm_band = ATM_BAND if logK_grid.size < 2 else max(
+        ATM_BAND, float(np.min(np.abs(np.diff(logK_grid)))))
     values = np.full_like(logK_grid, sigma_bar_sq)
     far = ~(np.abs(logK_grid - x0) < atm_band)
     lk = logK_grid[far]

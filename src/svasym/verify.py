@@ -245,7 +245,7 @@ FIXTURES = {"bs": fixture_bs, "ou": fixture_ou, "cir": fixture_cir}
 
 
 def _entry(desc: str, measured, expected, tol, ok: bool) -> dict:
-    """A criterion's verdict; run_acceptance adds its id, seed and runtime."""
+    """A criterion's verdict; _run_criterion adds its id, seed and runtime."""
     return {"description": desc, "measured": measured, "expected": expected,
             "tolerance": tol, "pass": bool(ok)}
 
@@ -531,23 +531,26 @@ CRITERIA = {
 }
 
 
+def _run_criterion(cid: str, seed: int, model: Optional[ModelParams]) -> dict:
+    """The report entry of criterion ``cid`` (C0 also validates ``model``,
+    if given) at ``seed``, with its run time.  A crash is a failure, not an
+    abort."""
+    t0 = time.perf_counter()
+    try:
+        entry = _c0_validation(model) if cid == "C0" else CRITERIA[cid](seed)
+    except Exception as exc:
+        entry = _entry(f"criterion crashed: {exc}", None, None, None, False)
+    return {"criterion_id": cid, **entry,
+            "runtime_s": round(time.perf_counter() - t0, 3), "seed": seed}
+
+
 def run_acceptance(seed: int = 42, *, model: Optional[ModelParams] = None,
                    out: Optional[str] = None) -> dict:
     """Run the acceptance suite with ``seed`` and return a machine-readable
     report; C0 also validates ``model``, if given, alongside the fixtures.
     ``out`` is a path for the JSON report.  Failures are recorded, never
     raised."""
-    run = [("C0", lambda _: _c0_validation(model)), *CRITERIA.items()]
-    entries = []
-    for cid, fn in run:
-        t0 = time.perf_counter()
-        try:
-            entry = fn(seed)
-        except Exception as exc:  # a crash is a failure, not an abort
-            entry = _entry(f"criterion crashed: {exc}", None, None, None, False)
-        entries.append({"criterion_id": cid, **entry,
-                        "runtime_s": round(time.perf_counter() - t0, 3),
-                        "seed": seed})
+    entries = [_run_criterion(cid, seed, model) for cid in ("C0", *CRITERIA)]
     report = {"seed": seed, "criteria": entries,
               "passed": all(e["pass"] for e in entries)}
     if out:

@@ -16,6 +16,7 @@ weakened (the analysis lives alongside the numbers in the report entries):
 Everything else must pass outright.
 """
 
+import functools
 import json
 
 import pytest
@@ -36,16 +37,16 @@ EXPECTED_STRUCTURAL_FAIL = {
 CRITERIA_IDS = ["C0"] + list(verify.CRITERIA)
 
 
-@pytest.fixture(scope="session")
-def acceptance_report(tmp_path_factory):
-    out = tmp_path_factory.mktemp("acceptance") / "acceptance.json"
-    return verify.run_acceptance(seed=42, out=str(out))
+@functools.cache
+def criterion_entry(cid):
+    """The report entry of one criterion at seed 42, as run_acceptance(seed=42)
+    records it; each criterion runs once per session."""
+    return verify._run_criterion(cid, 42, None)
 
 
 @pytest.mark.parametrize("cid", CRITERIA_IDS)
-def test_criterion(acceptance_report, cid, capsys):
-    entry = next(e for e in acceptance_report["criteria"]
-                 if e["criterion_id"] == cid)
+def test_criterion(cid, capsys):
+    entry = criterion_entry(cid)
     status = "PASS" if entry["pass"] else "FAIL"
     line = (f"[{status}] {cid}: {entry['description']} "
             f"(measured={json.dumps(entry['measured'], default=str)}, "
@@ -62,20 +63,18 @@ def test_criterion(acceptance_report, cid, capsys):
                 f"vs tolerance {entry['tolerance']}")
 
 
-def test_c4_agrees_at_moderate_momenta(acceptance_report):
+def test_c4_agrees_at_moderate_momenta():
     # the cross-validation core: eigenvalue and Monte Carlo routes agree at
     # every |p| <= 1, and the curve is convex with H(0) = 0
-    entry = next(e for e in acceptance_report["criteria"]
-                 if e["criterion_id"] == "C4")
+    entry = criterion_entry("C4")
     gaps = entry["measured"]["gaps"]
     for label in ("p=-1", "p=-0.5", "p=0.5", "p=1"):
         assert gaps[label]["gap"] <= gaps[label]["tol"], label
     assert entry["measured"]["min_divided_d2"] > -1e-8
 
 
-def test_c8_trend_is_monotone(acceptance_report):
+def test_c8_trend_is_monotone():
     # the deepening-tail trend must hold even though the final point is out
     # of reach of the budget
-    entry = next(e for e in acceptance_report["criteria"]
-                 if e["criterion_id"] == "C8")
+    entry = criterion_entry("C8")
     assert entry["measured"]["trend_ok"] is True

@@ -94,7 +94,7 @@ def _with_line(line, base=BS_CFG):
 
 
 BAD_VALUES = ["t = abc", "eps_sequence = 0.5 x", "p_grid.count = 2.5",
-              "grid.y_lo = low", "mc.paths = inf", "regime = 4.5", "m = abc"]
+              "x_grid.min = low", "mc.paths = inf", "regime = 4.5", "m = abc"]
 
 
 class TestValueConversion:
@@ -216,6 +216,22 @@ class TestDispatch:
         lines = (out / "smile.csv").read_bytes().split(b"\r\n")
         assert lines[0] == b"logK,implied_var,regime"
 
+    # the at-the-money band is the grid's absolute spacing, at least
+    # rates.ATM_BAND, so the money is filled on any grid, not 0/0
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("lo, hi", [("0.4", "-0.4"), ("0", "0")])
+    def test_smile_on_a_descending_or_constant_grid_is_finite(self, lo, hi,
+                                                               tmp_path):
+        path = tmp_path / "grid.cfg"
+        path.write_text(BS_CFG + f"logK_grid.min = {lo}\nlogK_grid.max = {hi}\n",
+                        encoding="utf-8")
+        out = tmp_path / "out"
+        assert cli.dispatch(["smile", "--config", str(path),
+                             "--out", str(out)]) == 0
+        values = _loadtxt(out / "smile.csv", usecols=1)
+        assert values.size == 81
+        assert np.allclose(values, 0.04, rtol=1e-12, atol=0.0)
+
     def test_sigma_bar_artifact(self, cfg_path, tmp_path):
         out = tmp_path / "out"
         code = cli.dispatch(["sigma-bar", "--config", cfg_path,
@@ -282,14 +298,6 @@ class TestDispatch:
         path.write_text("m = 0.3\nnu = 1\nbeta = 0.5\nrho = 0\ny0 = 1\n"
                         "sigma.kind = power_abs\nsigma.c = 1\nsigma.q = 0.25\n",
                         encoding="utf-8")
-        assert cli.dispatch(["validate", "--config", str(path),
-                             "--out", str(tmp_path)]) == 1
-
-    @pytest.mark.parametrize("line", ["sigma.growth = 2", "sigma.growth = 0.5"])
-    def test_growth_disagreeing_with_kind_exit_code(self, line, tmp_path):
-        # a constant sigma implies growth 0; the key is read, not ignored
-        path = tmp_path / "bad_growth.cfg"
-        path.write_text(BS_CFG + line + "\n", encoding="utf-8")
         assert cli.dispatch(["validate", "--config", str(path),
                              "--out", str(tmp_path)]) == 1
 
@@ -374,44 +382,18 @@ class TestBadMomentum:
         assert not out.exists() or not any(out.iterdir())
 
 
-CIR_CFG = """\
-m = 1
-nu = 1
-beta = 0.5
-rho = 0
-y0 = 1
-sigma.kind = power_abs
-sigma.c = 1
-sigma.q = 0.25
-"""
-
-
-class TestBadGridBound:
-    """A grid.y_lo or grid.y_hi outside the state space, or a window they
-    leave empty, ends each command that reads the bounds in exit code 1 and
-    an error line naming the key: no traceback, no NaN columns."""
-
-    @pytest.mark.parametrize("command", ["invariant", "poisson", "hamiltonian"])
-    @pytest.mark.parametrize("base, lines, key", [
-        (BS_CFG, "grid.y_lo = nan", "grid.y_lo = nan"),
-        (BS_CFG, "grid.y_hi = inf", "grid.y_hi = inf"),
-        (CIR_CFG, "grid.y_lo = nan", "grid.y_lo = nan"),
-        (CIR_CFG, "grid.y_hi = inf", "grid.y_hi = inf"),
-        (CIR_CFG, "grid.y_lo = 0", "grid.y_lo = 0.0"),
-        (BS_CFG, "grid.y_lo = 1\ngrid.y_hi = 1", "grid.y_lo and grid.y_hi"),
-        (BS_CFG, "grid.y_hi = -50", "from grid.y_hi"),
-    ], ids=["ou-lo-nan", "ou-hi-inf", "cir-lo-nan", "cir-hi-inf", "cir-lo-0",
-            "ou-lo-eq-hi", "ou-hi-below-auto"])
-    def test_exit_1_with_error_line(self, command, base, lines, key, tmp_path,
-                                    capsys):
-        path = tmp_path / "grid.cfg"
-        path.write_text(base + lines + "\n", encoding="utf-8")
-        out = tmp_path / "out"
-        assert cli.dispatch([command, "--config", str(path),
-                             "--out", str(out)]) == 1
-        err = capsys.readouterr().err
-        assert err.startswith("error: ") and key in err
-        assert not any(out.iterdir())
+# each layer chooses its own truncation window, and sigma.kind implies the
+# growth exponent, so no config key sets either
+@pytest.mark.parametrize("line", ["grid.y_lo = -4", "grid.y_hi = 6",
+                                  "sigma.growth = 0"])
+def test_removed_key_is_unknown(line, tmp_path, capsys):
+    path = tmp_path / "removed.cfg"
+    path.write_text(BS_CFG + line + "\n", encoding="utf-8")
+    assert cli.dispatch(["validate", "--config", str(path),
+                         "--out", str(tmp_path / "out")]) == 2
+    key = line.split(" = ")[0]
+    assert capsys.readouterr().err == f"error: unknown config key: {key!r}\n"
+    assert not (tmp_path / "out").exists()
 
 
 class TestModelGate:
@@ -619,6 +601,18 @@ def test_out_of_memory_exits_1_naming_paths(tmp_path, capsys, monkeypatch):
     assert capsys.readouterr().err == (
         "error: out of memory; lower mc.paths (Unable to allocate 763. MiB)\n")
     assert not any(out.iterdir())
+
+
+EXAMPLE_CFG = Path(__file__).resolve().parent.parent / "examples" / "model.cfg"
+
+
+def test_example_config_is_readmes_and_validates(tmp_path):
+    # README shows examples/model.cfg verbatim and runs its commands on it
+    text = EXAMPLE_CFG.read_text(encoding="utf-8")
+    readme = (EXAMPLE_CFG.parent.parent / "README.md").read_text(encoding="utf-8")
+    assert f"```\n{text}```" in readme
+    assert cli.dispatch(["validate", "--config", str(EXAMPLE_CFG),
+                         "--out", str(tmp_path)]) == 0
 
 
 def test_module_entry_point_runs_the_command(tmp_path):

@@ -151,8 +151,8 @@ OU_RHO = replace(OU, rho=-0.5)
 CIR_RHO = replace(CIR, rho=-0.5)
 
 
-def _density(params, spec):
-    tab = measures.invariant_density(params, 0.5, spec)
+def _density(params):
+    tab = measures.invariant_density(params, 0.5)
     return digest(tab.grid, tab.values, [tab.norm_constant])
 
 
@@ -161,10 +161,8 @@ GOLDEN = {
         lambda: digest(measures.sigma_bar_sq(OU, with_error=True)), "46e3e9399fdcddc0"),
     "sigma_bar_sq_cir": (
         lambda: digest(measures.sigma_bar_sq(CIR, with_error=True)), "c1f2f76315a04237"),
-    "invariant_ou_rho_y_lo": (
-        lambda: _density(OU_RHO, measures.GridSpec(y_lo=-4.0)), "0a854b42adf597ab"),
-    "invariant_cir_rho_y_hi": (
-        lambda: _density(CIR_RHO, measures.GridSpec(y_hi=6.0)), "c56f313d6851814d"),
+    "invariant_ou_rho": (lambda: _density(OU_RHO), "e135e27512da3e9a"),
+    "invariant_cir_rho": (lambda: _density(CIR_RHO), "6f11b847d04ce20c"),
 }
 
 

@@ -1,5 +1,4 @@
 import math
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -69,22 +68,18 @@ class TestSolveCorrector:
         assert poisson.core_residual_norm(CIR, cor) < 1e-4
 
     def test_single_bound_moves_its_edge(self):
-        # y_lo alone replaces the auto window's left edge (6 sd below m)
-        # and keeps its right edge; the grid holds the window's cell centers
-        spec = measures.GridSpec(n=512)
-        auto = poisson.solve_corrector(OU, 1.0, spec)
-        cor = poisson.solve_corrector(OU, 1.0, replace(spec, y_lo=-5.0))
-        edges = lambda c: (c.grid[0] - 0.5 * (c.grid[1] - c.grid[0]),
-                           c.grid[-1] + 0.5 * (c.grid[-1] - c.grid[-2]))
-        assert edges(auto)[0] == pytest.approx(-6.0)
-        assert edges(cor)[0] == pytest.approx(-5.0)
-        assert edges(cor)[1] == pytest.approx(edges(auto)[1])
+        # at beta = 0 the window is the start window, 6 sd about m, unexpanded;
+        # the grid holds the window's cell centers
+        cor = poisson.solve_corrector(OU, 1.0, measures.GridSpec(n=512))
+        edges = (cor.grid[0] - 0.5 * (cor.grid[1] - cor.grid[0]),
+                 cor.grid[-1] + 0.5 * (cor.grid[-1] - cor.grid[-2]))
+        assert edges == pytest.approx((-6.0, 6.0))
 
     def test_centering_guard(self):
-        # a window of +-1 sd about m misses most of E|Y|'s mass, so its grid
-        # average of sigma^2 = |y| is far from the converged sqrt(2/pi)
+        # 16 cells on +-6 sd cannot resolve the cusp of sigma^2 = |y| at 0,
+        # so the grid average is far from the converged sqrt(2/pi)
         with pytest.raises(CenteringError):
-            poisson.solve_corrector(OU, 1.0, measures.GridSpec(y_lo=-1.0, y_hi=1.0))
+            poisson.solve_corrector(OU, 1.0, measures.GridSpec(n=16))
 
     def test_csv_format(self, tmp_path, ou_corrector):
         path = tmp_path / "poisson.csv"

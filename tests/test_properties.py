@@ -135,9 +135,7 @@ configs = st.builds(
     mc=st.builds(simulate.McConfig, paths=st.integers(1, 10 ** 8),
                  steps_per_unit_time=st.integers(1, 10 ** 4),
                  seed=st.integers(0, 2 ** 64 - 1)),
-    grid=st.builds(measures.GridSpec, n=counts,
-                   y_lo=st.one_of(st.none(), finite),
-                   y_hi=st.one_of(st.none(), finite)),
+    grid=st.builds(measures.GridSpec, n=counts),
     p_grid_max=positive, p_grid_count=counts, x_grid_min=finite,
     x_grid_max=finite, x_grid_count=counts, logk_min=finite, logk_max=finite,
     logk_count=counts)
