@@ -4,8 +4,8 @@ functions, asymptotic option prices and implied-volatility smiles, verified
 against direct Monte Carlo simulation of the two-scale SDE system."""
 
 from .errors import (ATMWarning, CenteringError, ConvexityError, DomainError,
-                     GridMismatchError, NotApplicableError, ParseError,
-                     RangeError, ResolutionError, SvasymError, StabilityError,
+                     NotApplicableError, ParseError, RangeError,
+                     ResolutionError, SvasymError, StabilityError,
                      TruncationError, UnknownKeyError, ValidationError,
                      VarianceWarning)
 from .model import (ModelParams, Regime, VolFnSpec, from_doc, sigma_eval,

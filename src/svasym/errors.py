@@ -21,10 +21,6 @@ class TruncationError(SvasymError):
     """A truncation window could not capture the required mass."""
 
 
-class GridMismatchError(SvasymError):
-    """A function table's grid does not match the density grid."""
-
-
 class CenteringError(SvasymError):
     """The Poisson right-hand side fails the centering condition."""
 

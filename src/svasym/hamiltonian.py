@@ -230,8 +230,7 @@ def _growth_rate(params: ModelParams, T: float, mc: McConfig, k: int,
     start = invariant_density(params, tilt).mode()
     tb = simulate_tilted(params, T, sub, p=tilt, y_start=start, burn_in=T / 10.0)
     lme, se = log_mean_exp(functional(tb))
-    return McEstimate(value=lme / tb.duration, stderr=se / tb.duration,
-                      n=mc.paths, seed=sub.seed), se
+    return McEstimate(value=lme / tb.duration, stderr=se / tb.duration), se
 
 
 def hbar0_direct(params: ModelParams, p: float, T: float, mc: McConfig) -> McEstimate:

@@ -20,7 +20,7 @@ from typing import Callable, Optional, Tuple
 import numpy as np
 from scipy.integrate import trapezoid
 
-from .errors import GridMismatchError, TruncationError, ValidationError
+from .errors import TruncationError, ValidationError
 from .model import (ModelParams, _check_momentum, _diffusion_sq, _write_csv,
                     scale_log_integrand, sigma_eval)
 
@@ -202,14 +202,6 @@ def sigma_bar_sq(params: ModelParams, *, with_error: bool = False):
     raise TruncationError("sigma_bar_sq quadrature did not converge to the requested tolerance")
 
 
-def _check_grid(grid: np.ndarray, h) -> np.ndarray:
-    h = np.asarray(h, dtype=float)
-    if h.shape != grid.shape:
-        raise GridMismatchError(
-            f"function table has shape {h.shape}, density grid {grid.shape}")
-    return h
-
-
 def _second_derivative(h: np.ndarray, y: np.ndarray) -> np.ndarray:
     """Compact 3-point second difference (one-sided copies at the ends)."""
     hpp = np.empty_like(h)
@@ -222,10 +214,9 @@ def _second_derivative(h: np.ndarray, y: np.ndarray) -> np.ndarray:
     return hpp
 
 
-def apply_generator(params: ModelParams, y: np.ndarray, h) -> np.ndarray:
-    """Discrete generator of the (untilted) factor on y:
-    (m - y) h' + (nu^2/2) |y|^{2 beta} h''."""
-    h = _check_grid(y, h)
+def _apply_generator(params: ModelParams, y: np.ndarray, h: np.ndarray) -> np.ndarray:
+    """Discrete generator of the (untilted) factor on y, applied to the
+    values h on the same grid: (m - y) h' + (nu^2/2) |y|^{2 beta} h''."""
     hp = np.gradient(h, y)
     hpp = _second_derivative(h, y)
     return (params.m - y) * hp + 0.5 * _diffusion_sq(params, y) * hpp

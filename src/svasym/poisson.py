@@ -26,7 +26,7 @@ from scipy.integrate import cumulative_trapezoid
 
 from .errors import CenteringError, NotApplicableError
 from .measures import (GridSpec, _choose_window, _make_grid, _start_window,
-                       density_on_grid, apply_generator, sigma_bar_sq)
+                       _apply_generator, density_on_grid, sigma_bar_sq)
 from .model import (ModelParams, _check_momentum, _diffusion_sq, _write_csv,
                     sigma_eval)
 
@@ -56,7 +56,6 @@ class GrowthBoundReport:
     c1: float
     passed: bool
     log_slope: float
-    message: str
 
 
 def _corrector_grid(params: ModelParams, y_lo: float, y_hi: float, n: int) -> np.ndarray:
@@ -137,7 +136,7 @@ def generator_residual(params: ModelParams, corrector: Corrector) -> np.ndarray:
     rhs = 0.5 * corrector.p ** 2 * (
         corrector.sigma_bar_sq
         - sigma_eval(params.sigma, corrector.grid, beta=params.beta) ** 2)
-    return apply_generator(params, corrector.grid, corrector.chi) - rhs
+    return _apply_generator(params, corrector.grid, corrector.chi) - rhs
 
 
 def core_residual_norm(params: ModelParams, corrector: Corrector) -> float:
@@ -159,8 +158,7 @@ def growth_bound_check(corrector: Corrector, params: ModelParams) -> GrowthBound
     """
     g = params.sigma.growth_exponent
     if np.all(corrector.chi_prime == 0.0):
-        return GrowthBoundReport(c1=0.0, passed=True, log_slope=0.0,
-                                 message="chi' vanishes identically; bound trivial")
+        return GrowthBoundReport(c1=0.0, passed=True, log_slope=0.0)
     if params.beta == 0.0 and g == 0.0:
         raise NotApplicableError(
             "bounded sigma on the whole line: the derivative bound is logarithmic, "
@@ -177,7 +175,4 @@ def growth_bound_check(corrector: Corrector, params: ModelParams) -> GrowthBound
     # blow-up test looks at the outermost stretch where it must level off
     outer = ys >= 0.6 * y_hi
     slope = float(np.polyfit(np.log(ys[outer]), np.log(ratio[outer]), 1)[0])
-    passed = slope < 0.25
-    msg = (f"ratio plateaus (log-log slope {slope:.3g})" if passed
-           else f"ratio grows with log-log slope {slope:.3g}")
-    return GrowthBoundReport(c1=c1, passed=passed, log_slope=slope, message=msg)
+    return GrowthBoundReport(c1=c1, passed=slope < 0.25, log_slope=slope)

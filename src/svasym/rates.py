@@ -35,12 +35,8 @@ class RateCurve:
     """Sampled rate function x -> I_r(x; x0, t) for one regime."""
 
     regime: Regime
-    x0: float
-    t: float
     x_grid: np.ndarray
     values: np.ndarray
-    sigma_bar_sq: Optional[float] = None      # ingredient for r = 4
-    legendre: Optional[LegendreCurve] = None  # ingredient for r = 2
 
     def to_csv(self, path) -> None:
         _write_csv(path, ("x", "rate", "regime"),
@@ -106,8 +102,7 @@ def rate_curve(regime: Regime, x0: float, t: float, x_grid: Sequence[float], *,
     """Sample the regime's rate function on an x-grid."""
     x_grid = np.asarray(x_grid, dtype=float)
     values = _rate(regime, x_grid, x0, t, sigma_bar_sq, legendre)
-    return RateCurve(regime=regime, x0=x0, t=t, x_grid=x_grid, values=values,
-                     sigma_bar_sq=sigma_bar_sq, legendre=legendre)
+    return RateCurve(regime=regime, x_grid=x_grid, values=values)
 
 
 def lax_solution(h_grid: Sequence[float], h_values: Sequence[float], t: float,

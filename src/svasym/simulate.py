@@ -70,8 +70,6 @@ class McEstimate:
     """A Monte Carlo point estimate with its standard error."""
     value: float
     stderr: float
-    n: int
-    seed: int
 
 
 @dataclass(frozen=True)
@@ -129,7 +127,6 @@ class TiltedBatch:
     int_sigma_sq: np.ndarray   # accumulated after burn-in
     int_sigma_dw2: np.ndarray  # int sigma(Y) dW2, after burn-in; 0 at rho = 0
     duration: float            # accumulation window length (T - burn_in)
-    seed: int
 
 
 def _worker_count() -> int:
@@ -440,7 +437,7 @@ def simulate_tilted(params: ModelParams, T: float, mc: McConfig, *,
 
     _map_blocks(mc.paths, mc.seed, job)
     return TiltedBatch(y=y, int_sigma_sq=iss, int_sigma_dw2=isw2,
-                       duration=T - burn_steps * dt, seed=mc.seed)
+                       duration=T - burn_steps * dt)
 
 
 def ergodic_average(params: ModelParams, phi: Callable[[np.ndarray], np.ndarray],
@@ -490,7 +487,7 @@ def ergodic_average(params: ModelParams, phi: Callable[[np.ndarray], np.ndarray]
     if den > 0 and num / den > 0.5:
         warnings.warn("within-path time batches are strongly autocorrelated; "
                       "increase T for a trustworthy error bar", VarianceWarning)
-    return McEstimate(value=value, stderr=se, n=mc.paths, seed=mc.seed)
+    return McEstimate(value=value, stderr=se)
 
 
 def log_mean_exp(samples: np.ndarray) -> Tuple[float, float]:

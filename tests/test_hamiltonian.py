@@ -9,7 +9,7 @@ from svasym import hamiltonian as ham
 from svasym import measures, poisson
 from svasym.errors import ResolutionError, ValidationError
 from svasym.model import ModelParams, VolFnSpec
-from svasym.simulate import McConfig
+from svasym.simulate import McConfig, substream_seed
 
 from golden import digest
 
@@ -408,8 +408,9 @@ class TestEigenGoldens:
 
 
 # Both Monte Carlo forms of hbar0_mc pinned bit for bit: value, stderr and
-# seed (split into 32-bit halves, so the digest holds it exactly).  Any
-# change to the forms' sub-streams, call order or arithmetic changes these.
+# the seed of the form's sub-stream k (split into 32-bit halves, so the
+# digest holds it exactly).  Any change to the forms' sub-streams, call
+# order or arithmetic changes these.
 OU_CORR = replace(OU, rho=-0.5)
 
 
@@ -418,8 +419,8 @@ def _hbar_mc(params, p, steps):
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
         res = ham.hbar0_mc(params, p, 10.5, mc)
-    return digest(*([f.value, f.stderr, *divmod(f.seed, 2 ** 32)]
-                     for f in (res.direct, res.martingale)))
+    return digest(*([f.value, f.stderr, *divmod(substream_seed(17, k), 2 ** 32)]
+                     for k, f in enumerate((res.direct, res.martingale))))
 
 
 MC_GOLDEN = {
