@@ -181,28 +181,27 @@ def _emit(out_dir: str, name: str) -> str:
 
 
 def _rate_ingredient(cfg: RunConfig, x) -> dict:
-    """The regime's rate ingredient as keyword arguments of the rates
-    functions: sigma_bar_sq for r = 4; for r = 2 the Legendre transform of
-    the eigen Hamiltonian on the q set the x and log-strike grids ask for,
-    and a ValidationError naming p_grid.max if Hbar0's slopes fall short of
-    those of ``x``, the points the command reads.  A bad t fails first."""
+    """The regime's rate ingredient for ``x``, the points the command reads,
+    as keyword arguments of the rates functions: sigma_bar_sq for r = 4;
+    for r = 2 the Legendre transform of the eigen Hamiltonian at exactly
+    the slopes of ``x``, and a ValidationError naming p_grid.max if Hbar0's
+    slopes fall short of them.  A bad t, then a point that is not finite,
+    fails first."""
     _check_time(cfg.t)
+    q = rates._slope(x, cfg.model.x0, cfg.t)
+    if not np.all(np.isfinite(q)):
+        raise ValidationError("the command reads a point whose slope from x0 "
+                              "over t is not finite")
     if cfg.regime is Regime.ULTRA_FAST:
         return {"sigma_bar_sq": measures.sigma_bar_sq(cfg.model)}
     curve = ham.build_curve(cfg.model, cfg.p_grid(), method="eigen",
                             grid_spec=cfg.grid)
-    slopes = np.gradient(curve.values, curve.p_grid)
-    q_max = float(np.max(np.abs(slopes)))
-    x0, t = cfg.model.x0, cfg.t
-    need = float(np.max(np.abs(rates._slope(x, x0, t))))
-    if need > q_max:  # not for a NaN point, which fails where it is read
+    q_max = float(np.max(np.abs(np.gradient(curve.values, curve.p_grid))))
+    need = float(np.max(np.abs(q)))
+    if need > q_max:
         raise ValidationError(f"p_grid.max = {cfg.p_grid_max!r} reaches Hbar0 "
                               f"slopes up to {q_max!r}; the command needs {need!r}")
-    q_needed = reduce(np.union1d, (np.linspace(-q_max, q_max, 801),
-                                   rates._slope(cfg.x_grid(), x0, t),
-                                   rates._slope(cfg.logk_grid(), x0, t)))
-    q_needed = q_needed[np.abs(q_needed) <= q_max]
-    return {"legendre": ham.legendre(curve, q_needed)}
+    return {"legendre": ham.legendre(curve, np.unique(q))}
 
 
 def _check_model(model: ModelParams) -> None:

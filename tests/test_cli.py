@@ -615,6 +615,39 @@ def test_example_config_is_readmes_and_validates(tmp_path):
                          "--out", str(tmp_path)]) == 0
 
 
+def test_fast_price_at_rho_0_is_at_most_the_ultra_fast_one(tmp_path):
+    # C5 gives Hbar0 >= sigma_bar^2 p^2 / 2, so I2 <= I4; the fast regime
+    # reads Lbar0 at exactly the strike's slope, not between table nodes
+    rate = {}
+    for regime in ("2", "4"):
+        out = tmp_path / f"r{regime}"
+        assert cli.dispatch(["price", "--config", str(EXAMPLE_CFG),
+                             "--out", str(out), "--regime", regime]) == 0
+        doc = json.loads((out / "price.json").read_text(encoding="utf-8"))
+        rate[regime] = -doc["log_price_asymptote"]
+    assert cli.load_config(str(EXAMPLE_CFG)).model.rho == 0.0
+    assert 0.0 < rate["2"] <= rate["4"] + 1e-9
+
+
+@pytest.mark.parametrize("regime", ["2", "4"])
+@pytest.mark.parametrize("command, key", [
+    ("verify-ldp", "x_target"), ("price", "strike"), ("rate", "x_grid.min"),
+    ("rate", "x_grid.max"), ("smile", "logK_grid.min"),
+    ("smile", "logK_grid.max")])
+def test_non_finite_point_exits_1_with_error_line(command, key, regime,
+                                                  tmp_path, capsys):
+    path = tmp_path / "nan.cfg"
+    path.write_text(_with_line(f"{key} = nan", BS_CFG + "p_grid.max = 15\n")[0],
+                    encoding="utf-8")
+    out = tmp_path / "out"
+    assert cli.dispatch([command, "--config", str(path), "--out", str(out),
+                         "--regime", regime]) == 1
+    assert capsys.readouterr().err == (
+        "error: the command reads a point whose slope from x0 over t is not "
+        "finite\n")
+    assert not any(out.iterdir())
+
+
 def test_module_entry_point_runs_the_command(tmp_path):
     # python -m svasym.cli dispatches like the svasym script
     done = subprocess.run(
