@@ -6,8 +6,9 @@ Two regimes of time-scale coupling delta = eps^r:
           Black-Scholes quadratic with the averaged variance,
           I4(x) = |x0 - x|^2 / (2 sigma_bar^2 t).
     r = 2 (fast): the Hamiltonian retains spectral structure;
-          I2(x) = t * Lbar0((x0 - x) / t), Lbar0 the convex conjugate of
-          the effective Hamiltonian.
+          I2(x) = t * Lbar0((x - x0) / t), Lbar0 the convex conjugate of
+          the effective Hamiltonian.  Hbar0 is the cumulant growth rate of
+          +X, so a move up from x0 reads Lbar0 at a positive slope.
 
 Out-of-the-money option prices decay exponentially at rate I_r(log K), and
 the implied variance follows from matching that decay against the
@@ -76,12 +77,12 @@ def rate_i4(x, x0: float, t: float, sigma_bar_sq: float):
 
 
 def _slope(x, x0, t):
-    """q = (x0 - x)/t, where the fast-regime rate from x0 to x reads Lbar0."""
-    return (x0 - np.asarray(x, dtype=float)) / t
+    """q = (x - x0)/t, where the fast-regime rate from x0 to x reads Lbar0."""
+    return (np.asarray(x, dtype=float) - x0) / t
 
 
 def rate_i2(x, x0: float, t: float, legendre: LegendreCurve):
-    """Fast-regime rate function t * Lbar0((x0 - x)/t)."""
+    """Fast-regime rate function t * Lbar0((x - x0)/t)."""
     _check_time(t)
     if legendre is None:
         raise ValidationError("the fast-regime rate needs a Legendre curve")
@@ -108,7 +109,7 @@ def rate_curve(regime: Regime, x0: float, t: float, x_grid: Sequence[float], *,
 def lax_solution(h_grid: Sequence[float], h_values: Sequence[float], t: float,
                  x, regime: Regime, *, sigma_bar_sq: Optional[float] = None,
                  legendre: Optional[LegendreCurve] = None):
-    """Hopf-Lax value  u0(t, x) = sup_{x'} [ h(x') - t L((x - x')/t) ]
+    """Hopf-Lax value  u0(t, x) = sup_{x'} [ h(x') - t L((x' - x)/t) ]
 
     with L the regime's running cost: the quadratic q^2/(2 sigma_bar^2) for
     r = 4, Lbar0 for r = 2.  The sup over the sampled x' is one vectorized

@@ -303,7 +303,7 @@ class TestDispatch:
 
     def test_regime_override(self, tmp_path):
         # the momentum window must be wide enough that the conjugate covers
-        # the slopes (x0 - x)/t requested by the x-grid
+        # the slopes (x - x0)/t requested by the x-grid
         path = tmp_path / "model.cfg"
         path.write_text(BS_CFG + "p_grid.max = 15\np_grid.count = 17\n",
                         encoding="utf-8")
@@ -419,7 +419,7 @@ class TestModelGate:
 
 
 class TestFastRegimeConstantSigma:
-    """At r = 2 each command reads Lbar0 at the slopes (x0 - x)/t of its own
+    """At r = 2 each command reads Lbar0 at the slopes (x - x0)/t of its own
     points, which Hbar0 = s0^2 p^2 / 2 reaches only on a wide enough p grid:
     |p| <= 2 gives slopes up to 0.0775 for s0 = 0.2."""
 

@@ -3,6 +3,7 @@ import warnings
 
 import numpy as np
 import pytest
+from scipy.optimize import minimize_scalar
 
 from svasym import hamiltonian as ham
 from svasym import rates, verify
@@ -82,7 +83,7 @@ class TestLax:
         t, x = 1.0, 0.1
         val = rates.lax_solution(grid, h, t, x, Regime.FAST,
                                  legendre=const_legendre)
-        cost = np.interp((x - grid) / t, const_legendre.q_grid,
+        cost = np.interp((grid - x) / t, const_legendre.q_grid,
                          const_legendre.values)
         brute = np.max(h - t * cost)
         assert val == pytest.approx(brute, abs=1e-6)
@@ -237,9 +238,9 @@ class TestTransformGoldens:
         assert arr.tobytes() == one.tobytes() == scalar.tobytes()
 
     def test_rate_i2_outside_legendre_range(self):
-        # x0 - 10 asks for q = 12.5, the first point outside [-0.2, 0.3]
+        # x0 - 10 asks for q = -12.5, the first point outside [-0.2, 0.3]
         x = np.array([X0, X0 - 10.0, X0 + 8.0])
-        with pytest.raises(RangeError, match=r"^q = 12\.5 outside"):
+        with pytest.raises(RangeError, match=r"^q = -12\.5 outside"):
             rates.rate_i2(x, X0, T_GOLD, LEG_GOLD)
 
     def test_degenerate_triple_takes_the_sample(self):
@@ -255,6 +256,63 @@ class TestTransformGoldens:
             val = rates.lax_solution(grid, h, 1.0, 0.0, Regime.FAST,
                                      legendre=zero)
         assert val == 5e-324
+
+
+# Heston (Feng, Forde & Fouque 2010): sigma = sqrt(y) on the CIR factor with
+# m = 1 and nu = 1/2.  Hbar0, the cumulant growth rate of +X, is
+#   (m / nu^2) (b - sqrt(b^2 - nu^2 p^2)),  b = 1 - rho nu p,
+# finite on (-1 / (nu (1 - rho)), 1 / (nu (1 + rho))), and the fast rate from
+# x0 to x is t Lbar0((x - x0)/t).  At rho = -0.6 Lbar0 is not even: the
+# mirrored slope (x0 - x)/t misses these points by 0.0024 or more.
+HESTON_NU = 0.5
+HESTON_P = np.linspace(-1.2, 1.2, 49)
+HESTON_Q = np.linspace(-1.0, 1.0, 401)
+
+
+def _heston_hbar0(p, rho):
+    b = 1.0 - rho * HESTON_NU * p
+    return (b - np.sqrt(b * b - (HESTON_NU * p) ** 2)) / HESTON_NU ** 2
+
+
+@pytest.fixture(scope="module", params=[0.0, -0.6])
+def heston(request):
+    rho = request.param
+    prm = ModelParams(m=1.0, nu=HESTON_NU, beta=0.5, rho=rho, r=0.0,
+                      sigma=VolFnSpec.power_abs(1.0, 0.5), y0=1.0)
+    curve = ham.build_curve(prm, HESTON_P, method="eigen")
+    return rho, curve, ham.legendre(curve, HESTON_Q)
+
+
+@pytest.mark.parametrize("x0, t", [(0.0, 1.0), (0.05, 0.5)])
+def test_heston_fast_rate_matches_the_closed_form(heston, x0, t):
+    rho, curve, leg = heston
+    x = np.array([-0.4, -0.2, 0.2, 0.4])
+    lo, hi = -1.0 / (HESTON_NU * (1.0 - rho)), 1.0 / (HESTON_NU * (1.0 + rho))
+    exact, p_star = [], []
+    for q in (x - x0) / t:
+        res = minimize_scalar(lambda p: _heston_hbar0(p, rho) - p * q,
+                              bounds=(lo + 1e-9, hi - 1e-9), method="bounded",
+                              options={"xatol": 1e-13})
+        exact.append(-t * res.fun)
+        p_star.append(res.x)
+    dp, dq = HESTON_P[1] - HESTON_P[0], HESTON_Q[1] - HESTON_Q[0]
+    # every maximizer has a sampled triple of the curve around it
+    assert HESTON_P[1] < min(p_star) and max(p_star) < HESTON_P[-2]
+    # third and second differences of the closed form near the maximizers
+    step = 1e-3
+    h = _heston_hbar0(np.arange(min(p_star) - 2 * dp, max(p_star) + 2 * dp,
+                                step), rho)
+    h3 = np.max(np.abs(np.diff(h, 3))) / step ** 3
+    h2 = np.min(np.diff(h, 2)) / step ** 2
+    # the eigen error moves the hull, and so Lbar0, by at most max(errors),
+    # and the parabolic refinement through a triple by 1.25 times that; the
+    # parabola misses pq - Hbar0 by at most h3 dp^3 / 6 on the triple; linear
+    # interpolation in q misses the convex Lbar0 by dq^2 / 8 times
+    # Lbar0'' = 1 / Hbar0''
+    tol = t * (1.25 * np.max(curve.errors) + h3 * dp ** 3 / 6.0
+               + dq ** 2 / (8.0 * h2))
+    got = rates.rate_i2(x, x0, t, leg)
+    assert np.max(np.abs(got - np.array(exact))) <= tol
 
 
 # Each call lacks its regime's ingredient (or has a sigma_bar^2 that is not
