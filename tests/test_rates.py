@@ -196,13 +196,13 @@ def _smile(regime):
 GOLDEN = {
     "rate_i2": (lambda: digest(
         rates.rate_i2(X_GOLD, X0, T_GOLD, LEG_GOLD),
-        [rates.rate_i2(X_GOLD[5], X0, T_GOLD, LEG_GOLD)]), "0bf5961b97bd8553"),
-    "rate_curve_fast": (lambda: _rate_curve(Regime.FAST), "ac99a605d5718bb0"),
+        [rates.rate_i2(X_GOLD[5], X0, T_GOLD, LEG_GOLD)]), "1d7ba736a760c39e"),
+    "rate_curve_fast": (lambda: _rate_curve(Regime.FAST), "764b7726f689fea5"),
     "rate_curve_ultra_fast": (lambda: _rate_curve(Regime.ULTRA_FAST),
                               "15bc50ef47f6f8c0"),
-    "lax_fast": (lambda: _lax(Regime.FAST), "07cac3e5c2e3a0cd"),
+    "lax_fast": (lambda: _lax(Regime.FAST), "f9ad7e1188fee149"),
     "lax_ultra_fast": (lambda: _lax(Regime.ULTRA_FAST), "4ac1dea2978c2bef"),
-    "smile_fast": (lambda: _smile(Regime.FAST), "303d2a573b7022e6"),
+    "smile_fast": (lambda: _smile(Regime.FAST), "d055f8dc95315fc6"),
     "smile_ultra_fast": (lambda: _smile(Regime.ULTRA_FAST), "840f224ba09e6cd3"),
 }
 
