@@ -21,7 +21,7 @@ from enum import Enum
 
 import numpy as np
 
-from .errors import DomainError, ValidationError
+from .errors import DomainError, UnknownKeyError, ValidationError
 
 
 @dataclass(frozen=True)
@@ -336,7 +336,11 @@ def to_doc(params: ModelParams) -> dict:
 
 
 def from_doc(doc: dict) -> ModelParams:
-    """Parse the flat key/value document produced by :func:`to_doc`."""
+    """Parse the flat key/value document produced by :func:`to_doc`;
+    UnknownKeyError for the first key, in sorted order, outside MODEL_KEYS."""
+    unknown = sorted(set(doc) - MODEL_KEYS)
+    if unknown:
+        raise UnknownKeyError(unknown[0])
     missing = {"m", "nu", "beta", "rho", "sigma.kind"} - set(doc)
     if missing:
         raise ValidationError(f"model document missing keys: {sorted(missing)}")

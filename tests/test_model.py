@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from svasym.errors import DomainError, ValidationError
+from svasym.errors import DomainError, UnknownKeyError, ValidationError
 from svasym.model import (ModelParams, Regime, VolFnSpec, from_doc, sigma_eval,
                           to_doc, validate)
 
@@ -137,6 +137,13 @@ class TestDoc:
     def test_missing_keys(self):
         with pytest.raises(ValidationError):
             from_doc({"m": 0.0})
+
+    # the growth exponent follows from sigma.kind, so sigma.growth is gone
+    @pytest.mark.parametrize("key", ["sigma.growth", "bogus"])
+    def test_unknown_key(self, key):
+        doc = {**to_doc(cir_params()), key: 1.0}
+        with pytest.raises(UnknownKeyError, match=f"^unknown config key: '{key}'$"):
+            from_doc(doc)
 
     def test_y0_required_off_the_line(self):
         doc = to_doc(cir_params())
