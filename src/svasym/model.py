@@ -338,9 +338,9 @@ def to_doc(params: ModelParams) -> dict:
 def from_doc(doc: dict) -> ModelParams:
     """Parse the flat key/value document produced by :func:`to_doc`;
     UnknownKeyError for the first key, in sorted order, outside MODEL_KEYS."""
-    unknown = sorted(set(doc) - MODEL_KEYS)
+    unknown = set(doc) - MODEL_KEYS
     if unknown:
-        raise UnknownKeyError(unknown[0])
+        raise UnknownKeyError(min(unknown))
     missing = {"m", "nu", "beta", "rho", "sigma.kind"} - set(doc)
     if missing:
         raise ValidationError(f"model document missing keys: {sorted(missing)}")
