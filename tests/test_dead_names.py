@@ -15,6 +15,15 @@ dataclass field) needs a production reader outside its own definition.  A
 member's reference is an attribute or a string constant naming it: a bare
 name, such as a local that shares the member's name, never reads a member,
 and a keyword that sets a field in a constructor call reads nothing.
+
+A member is matched by its name alone, not by its class, so a member that
+shares its name with an attribute of anything else the readers touch counts
+as read.  Such a field needs a reader found by hand: ``RateCurve.x0``,
+``.t``, ``.sigma_bar_sq`` and ``.legendre`` (read as ``params.x0``,
+``cfg.t`` and ``ham.legendre``), ``McEstimate.n`` and ``.seed`` and
+``TiltedBatch.seed`` (``spec.n``, ``mc.seed``) and
+``GrowthBoundReport.message`` (``c.message`` of a validation clause) all
+passed this guard with no reader, and are gone.
 """
 
 import ast
