@@ -18,8 +18,11 @@ generalized eigenproblem.  Its stiffness part is negative semidefinite, so
 the top eigenvalue lies between the constant function's quotient (the
 mass-weighted mean of the potential, the discrete C5 bound) and the
 potential's maximum on the grid; bisection runs on that bracket alone, to
-1e-12 of its top.  Without correlation the problem at -p is the one at p,
-and `build_curve` solves each |p| once.  `hbar0_direct` estimates the
+1e-12 of its top.  The window is grown on the coarse grid of the Richardson
+step, with the eigenvector there; the fine grid is then solved once, for
+the eigenvalue alone, inside a narrow bracket around the coarse value that
+a Sturm count certifies.  Without correlation the problem at -p is the one
+at p, and `build_curve` solves each |p| once.  `hbar0_direct` estimates the
 growth rate by plain Monte Carlo over a long horizon, in the direct form
 above; `hbar0_mc` adds the equivalent exponential-martingale form on the
 untilted process.  Agreement of the two routes is the core cross-check of
@@ -47,7 +50,8 @@ from .simulate import (McConfig, McEstimate, _check_mc, log_mean_exp,
 EDGE_MASS_TOL = 1e-6
 MAX_WINDOW_GROWTH = 8
 _SUP_BLOCK = 1 << 16      # objective samples per block of the sup scan
-_BRACKET_PAD = 1e-6       # pad of the eigenvalue bracket, relative to its top
+_BRACKET_PAD = 1e-6       # pad of the eigenvalue bracket and half-width of
+                          # the one about a guess, relative to its top
 _EIGEN_RTOL = 1e-12       # bisection tolerance, relative to the bracket's top
 
 
@@ -97,7 +101,7 @@ class HbarMcResult:
 
 
 def _top_eigen(d: np.ndarray, e: np.ndarray, lo: float, hi: float,
-               vector: bool):
+               vector: bool, guess: Optional[float] = None):
     """Largest eigenvalue of the symmetric tridiagonal matrix with diagonal
     d and off-diagonal e, known to lie in [lo, hi] (0 <= lo <= hi), and its
     unit eigenvector if ``vector`` (else None).
@@ -105,20 +109,34 @@ def _top_eigen(d: np.ndarray, e: np.ndarray, lo: float, hi: float,
     Bisection (LAPACK stebz) runs only on the bracket, padded by
     _BRACKET_PAD of hi, and stops at _EIGEN_RTOL of hi, not at LAPACK's
     default eps * ||T||_1, which the stiff rows of a graded grid make
-    coarse.  It finds every eigenvalue in the padded bracket; inverse
-    iteration (stein) then computes the eigenvector of the largest alone.
-    ValueError if d or e holds an inf or NaN; ResolutionError if no
-    eigenvalue lies in the padded bracket.
+    coarse.  A ``guess`` of the top (below hi) narrows it: if a Sturm
+    count (stebz with a tolerance of the whole bracket) finds no
+    eigenvalue above guess + pad, bisection runs on guess -+ pad; if the
+    count finds one, or the narrow bracket holds none, it runs on the
+    padded bracket as without a guess.  It finds every eigenvalue in the
+    bracket it bisects; inverse iteration (stein) then computes the
+    eigenvector of the largest alone.  ValueError if d or e holds an inf
+    or NaN, before the guess is read; ResolutionError if no eigenvalue
+    lies in the padded bracket.
     """
     d, e = np.asarray_chkfinite(d), np.asarray_chkfinite(e)
     # the tiny floor keeps the interval open where the potential vanishes
     pad = _BRACKET_PAD * hi + np.finfo(float).tiny
-    found, vals, block, split, info = dstebz(
-        d, e, 1, lo - pad, hi + pad, 0, 0, _EIGEN_RTOL * hi, b"E")
-    if info != 0 or found == 0:
-        raise ResolutionError(
-            f"no eigenvalue in the potential's bracket [{lo!r}, {hi!r}]: "
-            "rounding in the assembled eigenproblem exceeds the bracket's pad")
+    tol = _EIGEN_RTOL * hi
+    found = 0
+    if guess is not None and guess < hi:
+        above, *_, info = dstebz(d, e, 1, guess + pad, hi + pad, 0, 0, hi, b"E")
+        if info == 0 and above == 0:
+            found, vals, block, split, info = dstebz(
+                d, e, 1, guess - pad, guess + pad, 0, 0, tol, b"E")
+            found *= info == 0
+    if found == 0:
+        found, vals, block, split, info = dstebz(
+            d, e, 1, lo - pad, hi + pad, 0, 0, tol, b"E")
+        if info != 0 or found == 0:
+            raise ResolutionError(
+                f"no eigenvalue in the potential's bracket [{lo!r}, {hi!r}]: "
+                "rounding in the assembled eigenproblem exceeds the bracket's pad")
     top = vals[found - 1:found]
     if not vector:
         return float(top[0]), None
@@ -128,7 +146,7 @@ def _top_eigen(d: np.ndarray, e: np.ndarray, lo: float, hi: float,
 
 
 def _rayleigh_top(params: ModelParams, p: float, y: np.ndarray,
-                  vector: bool = True):
+                  vector: bool = True, guess: Optional[float] = None):
     """Largest eigenvalue of the discretized Rayleigh quotient on the grid y,
     weighted by the tilted invariant density there, plus the edge mass of
     its eigenfunction (squared, density-weighted, outer 5% of nodes), or
@@ -137,7 +155,8 @@ def _rayleigh_top(params: ModelParams, p: float, y: np.ndarray,
     The stiffness is negative semidefinite, so the eigenvalue lies between
     the constant function's Rayleigh quotient -- the mass-weighted mean of
     the potential (p^2/2) sigma^2, the discrete C5 bound -- and the
-    potential's maximum on y; ``_top_eigen`` solves inside that bracket.
+    potential's maximum on y; ``_top_eigen`` solves inside that bracket,
+    narrowed about ``guess`` where one is given.
     """
     w = density_on_grid(params, p, y).values
     n = y.size
@@ -163,7 +182,7 @@ def _rayleigh_top(params: ModelParams, p: float, y: np.ndarray,
     d = diag / mass
     e = k / np.sqrt(mass[:-1] * mass[1:])
     lo = float(np.sum(v * mass) / np.sum(mass))
-    top, vec = _top_eigen(d, e, lo, float(np.max(v)), vector)
+    top, vec = _top_eigen(d, e, lo, float(np.max(v)), vector, guess)
     if vec is None:
         return top, None
     # vec is sqrt(mass) phi with unit norm, so vec^2 is phi's normalized
@@ -179,15 +198,18 @@ def hbar0_eigen(params: ModelParams, p: float, *,
     """Principal eigenvalue route to Hbar0(p), with a Richardson error bar.
 
     The truncation window starts from the tilted invariant law's window and
-    is enlarged until the eigenfunction of the fine grid (``grid_spec.n``,
-    made odd) keeps its mass away from the edges; TruncationError if that
-    fails after repeated growth.  The coarse grid of the Richardson step
-    (every other node) is solved once, on the window kept, without an
-    eigenvector.
+    is enlarged until the eigenfunction of the coarse grid of the
+    Richardson step ((n - 1) / 2 + 1 nodes, for n = ``grid_spec.n`` made
+    odd) keeps its mass away from the edges; TruncationError if that fails
+    after repeated growth.  The fine grid (n nodes) is then solved once, on
+    the window kept, for the eigenvalue alone, bracketed around the coarse
+    value.
 
     Each solve bisects only between the potential's bounds on the grid, to
-    1e-12 of the larger (see ``_rayleigh_top`` and ``_top_eigen``).  Hbar0(0)
-    is 0 exactly, with error 0.  ValidationError if p is not finite.
+    1e-12 of the larger, the fine one only within 1e-6 of that about the
+    coarse value when a Sturm count shows that the top lies no higher (see
+    ``_rayleigh_top`` and ``_top_eigen``).  Hbar0(0) is 0 exactly, with
+    error 0.  ValidationError if p is not finite.
 
     The error bar is the one Richardson step's |fine - coarse| / 3 alone.
     It leaves out the rounding of the assembled matrix, which can be the
@@ -203,11 +225,11 @@ def hbar0_eigen(params: ModelParams, p: float, *,
 
     n = spec.n if spec.n % 2 == 1 else spec.n + 1
     for _ in range(MAX_WINDOW_GROWTH):
-        lam, edge_mass = _rayleigh_top(params, p, _make_grid(params, y_lo, y_hi, n))
+        lam_coarse, edge_mass = _rayleigh_top(
+            params, p, _make_grid(params, y_lo, y_hi, (n - 1) // 2 + 1))
         if edge_mass <= EDGE_MASS_TOL:
-            lam_coarse, _ = _rayleigh_top(
-                params, p, _make_grid(params, y_lo, y_hi, (n - 1) // 2 + 1),
-                vector=False)
+            lam, _ = _rayleigh_top(params, p, _make_grid(params, y_lo, y_hi, n),
+                                   vector=False, guess=lam_coarse)
             return _richardson(lam_coarse, lam)
         # potential pushes the eigenfunction outward: widen and retry
         if params.beta == 0.0:

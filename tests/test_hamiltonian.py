@@ -20,6 +20,13 @@ CONST = ModelParams(m=0.0, nu=math.sqrt(2.0), beta=0.0, rho=0.0, r=0.0,
                     sigma=VolFnSpec.constant(0.2), y0=0.0)
 
 
+TRI = (np.array([1.0, 2.0, 3.0]), np.array([0.1, 0.1]))
+# at p = 2 the eigenfunction reaches past the invariant law's window, so the
+# eigen route grows it
+CIR = ModelParams(m=1.0, nu=1.0, beta=0.5, rho=0.0, r=0.0,
+                  sigma=VolFnSpec.power_abs(1.0, 0.25), y0=1.0)
+
+
 class TestEigen:
     # GridSpec rejects a count below 3 before the eigen route indexes it
     @pytest.mark.parametrize("n", [0, 1, 2, 64.0, True])
@@ -92,21 +99,31 @@ class TestBracketSolve:
         ham.build_curve(replace(OU, rho=-0.5), p_grid)
         assert len(calls) == 16
 
-    def test_coarse_solve_requests_no_eigenvector(self, monkeypatch):
-        sizes, real = [], ham.dstein
+    @pytest.mark.parametrize("params, p", [(OU, 1.0), (CIR, 2.0)],
+                             ids=["one_window", "grown_window"])
+    def test_fine_solve_requests_no_eigenvector(self, params, p, monkeypatch):
+        # the window grows on the coarse grid, whose eigenvector gives the
+        # edge mass; the fine grid is solved once, for its eigenvalue alone
+        sizes, windows = [], []
+        real_stein, real_grid = ham.dstein, ham._make_grid
 
-        def spy(d, *args):
+        def stein(d, *args):
             sizes.append(d.size)
-            return real(d, *args)
+            return real_stein(d, *args)
 
-        monkeypatch.setattr(ham, "dstein", spy)
-        spec = measures.GridSpec(n=1001)
-        ham.hbar0_eigen(OU, 1.0, grid_spec=spec)
-        assert sizes and set(sizes) == {1001}
-        lo, hi = measures._choose_window(OU, 1.0)
-        coarse = measures._make_grid(OU, lo, hi, 501)
-        assert ham._rayleigh_top(OU, 1.0, coarse, vector=False)[1] is None
-        assert set(sizes) == {1001}
+        def grid(prm, lo, hi, n):
+            windows.append((lo, hi, n))
+            return real_grid(prm, lo, hi, n)
+
+        monkeypatch.setattr(ham, "dstein", stein)
+        monkeypatch.setattr(ham, "_make_grid", grid)
+        ham.hbar0_eigen(params, p, grid_spec=measures.GridSpec(n=1001))
+        assert set(sizes) == {501} and len(sizes) == len(windows) - 1
+        assert [n for _, _, n in windows] == [501] * len(sizes) + [1001]
+        assert windows[-1][:2] == windows[-2][:2]
+        fine = real_grid(params, *windows[-1])
+        assert ham._rayleigh_top(params, p, fine, vector=False)[1] is None
+        assert set(sizes) == {501}
 
     def test_zero_momentum(self):
         # the bracket is [0, 0]: hbar0_eigen returns the normalization, and
@@ -116,8 +133,41 @@ class TestBracketSolve:
         with pytest.raises(ResolutionError, match=r"bracket \[0\.0, 0\.0\]"):
             ham._rayleigh_top(OU, 0.0, measures._make_grid(OU, lo, hi, 1001))
 
+    # eigenvalues of TRI below: about 0.9900, 2.0000 and 3.0100
+    @pytest.mark.parametrize("guess", ["second", "below_top", "above_top",
+                                       "at_hi", "top"])
+    @pytest.mark.parametrize("vector", [False, True])
+    def test_wrong_guess_takes_the_cold_bracket(self, guess, vector):
+        d, e = TRI
+        lo, hi = 0.5, 3.5
+        eig = np.linalg.eigvalsh(np.diag(d) + np.diag(e, 1) + np.diag(e, -1))
+        g = {"second": eig[1], "below_top": eig[2] - 1e-3,
+             "above_top": eig[2] + 1e-3, "at_hi": hi, "top": eig[2]}[guess]
+        cold, cold_vec = ham._top_eigen(d, e, lo, hi, vector)
+        val, vec = ham._top_eigen(d, e, lo, hi, vector, g)
+        if guess == "top":
+            # the narrow bracket bisects to the same tolerance
+            assert abs(val - cold) <= 2.0 * ham._EIGEN_RTOL * hi
+        else:
+            assert val == cold
+        assert val == pytest.approx(eig[2], abs=ham._EIGEN_RTOL * hi)
+        if vector:
+            assert abs(vec @ cold_vec) == pytest.approx(1.0, abs=1e-12)
+        else:
+            assert vec is None and cold_vec is None
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_non_finite_entry_raises_before_the_guess_is_read(self, bad):
+        d, e = TRI[0].copy(), TRI[1]
+        d[1] = bad
+        # a guess that is read at all raises TypeError
+        with pytest.raises(ValueError) as info:
+            ham._top_eigen(d, e, 0.5, 3.5, True, "unread")
+        assert type(info.value) is ValueError
+        assert str(info.value) == "array must not contain infs or NaNs"
+
     def test_empty_bracket_is_named(self):
-        d, e = np.array([1.0, 2.0, 3.0]), np.array([0.1, 0.1])
+        d, e = TRI
         assert ham._top_eigen(d, e, 2.5, 3.5, False)[0] == pytest.approx(
             3.0 + 0.01, abs=1e-3)
         with pytest.raises(ResolutionError, match="no eigenvalue"):
@@ -354,8 +404,6 @@ class TestTransformGoldens:
 
 # Eigen outputs pinned bit for bit: any change to the window search, its
 # growth, the grids or the Richardson step changes these digests.
-CIR = ModelParams(m=1.0, nu=1.0, beta=0.5, rho=0.0, r=0.0,
-                  sigma=VolFnSpec.power_abs(1.0, 0.25), y0=1.0)
 POWER_075 = ModelParams(m=1.0, nu=0.8, beta=0.75, rho=-0.3, r=0.0,
                         sigma=VolFnSpec.power_abs(0.5, 0.2, 0.1), y0=1.0)
 TABULATED = ModelParams(
