@@ -429,11 +429,11 @@ def _eigen_curve(params):
 
 
 EIGEN_GOLDEN = {
-    "ou": (lambda: _eigen_curve(OU), "f52881135cf3c500"),
-    "cir": (lambda: _eigen_curve(CIR), "f5cfff1bde0c27f1"),
-    "cir_rho": (lambda: _eigen_curve(replace(CIR, rho=-0.5)), "852365c9d40e6213"),
-    "power_abs_beta_075": (lambda: _eigen_curve(POWER_075), "c1c13f8eb09f7d2c"),
-    "tabulated": (lambda: _eigen_curve(TABULATED), "95aafacae4fd4d82"),
+    "ou": (lambda: _eigen_curve(OU), "6db844fce02b425a"),
+    "cir": (lambda: _eigen_curve(CIR), "b2fddf8bacbc9804"),
+    "cir_rho": (lambda: _eigen_curve(replace(CIR, rho=-0.5)), "271f63ab5353ad24"),
+    "power_abs_beta_075": (lambda: _eigen_curve(POWER_075), "269ee357e9140490"),
+    "tabulated": (lambda: _eigen_curve(TABULATED), "ebcc3e048362278b"),
 }
 
 
