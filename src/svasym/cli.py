@@ -263,10 +263,15 @@ def _cmd_rate(cfg: RunConfig, out: str) -> int:
 
 
 def _cmd_price(cfg: RunConfig, out: str) -> int:
-    rates._check_strike(cfg.strike)  # before the ingredient, which may cost seconds
-    value = rates.option_price_log_asymptote(
-        cfg.strike, cfg.model.x0, cfg.t, cfg.regime,
-        **_rate_ingredient(cfg, math.log(cfg.strike)))
+    # the strike, t and the money before the ingredient, which may cost
+    # seconds and which the price at the money does not read
+    rates._check_strike(cfg.strike)
+    _check_time(cfg.t)
+    value = rates._atm_price(math.log(cfg.strike), cfg.model.x0)
+    if value is None:
+        value = rates.option_price_log_asymptote(
+            cfg.strike, cfg.model.x0, cfg.t, cfg.regime,
+            **_rate_ingredient(cfg, math.log(cfg.strike)))
     _write_json(_emit(out, "price.json"),
                 {"strike": cfg.strike, "regime": cfg.regime.r, "t": cfg.t,
                  "log_price_asymptote": value})

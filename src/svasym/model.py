@@ -304,12 +304,12 @@ MODEL_KEYS = {"m", "nu", "beta", "rho", "rate", "y0", "x0"} | _SIGMA_KEYS
 def _write_csv(path, header, columns) -> None:
     """CSV artifact: the header line, then one row per index of the
     columns, each line ending in CRLF.  Floats are written as the shortest
-    decimal that round-trips (repr of a Python float)."""
-    columns = [np.asarray(c).tolist() for c in columns]
+    decimal that round-trips (repr of a Python float).  Each column is
+    formatted once and the file written in one call."""
+    cells = [list(map(str, np.asarray(c).tolist())) for c in columns]
+    lines = [",".join(header), *map(",".join, zip(*cells)), ""]
     with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write(",".join(header) + "\r\n")
-        for row in zip(*columns):
-            fh.write(",".join(map(str, row)) + "\r\n")
+        fh.write("\r\n".join(lines))
 
 
 def _write_json(path, payload: dict) -> None:

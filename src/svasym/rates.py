@@ -159,14 +159,21 @@ def option_price_log_asymptote(K: float, x0: float, t: float, regime: Regime, *,
     """
     _check_strike(K)
     log_k = math.log(K)
-    if abs(log_k - x0) < ATM_BAND:
-        # the rate at no point: checks t and the regime's ingredient as
-        # for any other strike
-        _rate(regime, (), x0, t, sigma_bar_sq, legendre)
-        warnings.warn("strike is at the money within grid resolution; the "
-                      "price asymptote degenerates to 0", ATMWarning)
-        return 0.0
-    return -_rate(regime, log_k, x0, t, sigma_bar_sq, legendre)
+    # the rate at no point: checks t and the regime's ingredient for every
+    # strike, the money included
+    _rate(regime, (), x0, t, sigma_bar_sq, legendre)
+    atm = _atm_price(log_k, x0)
+    return -_rate(regime, log_k, x0, t, sigma_bar_sq, legendre) if atm is None else atm
+
+
+def _atm_price(log_k: float, x0: float) -> Optional[float]:
+    """The price asymptote 0, with an ATMWarning, for a log strike within
+    ATM_BAND of the money, where it reads no rate; else None."""
+    if not abs(log_k - x0) < ATM_BAND:
+        return None
+    warnings.warn("strike is at the money within grid resolution; the "
+                  "price asymptote degenerates to 0", ATMWarning)
+    return 0.0
 
 
 def implied_vol_curve(x0: float, regime: Regime, t: float,

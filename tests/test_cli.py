@@ -10,8 +10,9 @@ import numpy as np
 import pytest
 
 import svasym
-from svasym import cli, hamiltonian, measures, poisson, rates, simulate, verify
-from svasym.errors import ParseError, UnknownKeyError
+from svasym import (cli, hamiltonian, measures, model, poisson, rates,
+                    simulate, verify)
+from svasym.errors import ATMWarning, ParseError, UnknownKeyError
 from svasym.model import ModelParams, Regime, VolFnSpec
 
 BS_CFG = """\
@@ -160,6 +161,31 @@ class TestCsvArtifacts:
         flags = np.loadtxt(tmp_path / "a.csv", delimiter=",", skiprows=1,
                            usecols=2, dtype=str)
         assert tuple(flags) == leg.flags
+
+    @pytest.mark.parametrize("header, columns", [
+        (("y", "chi", "chi_prime"),
+         (np.linspace(-3.0, 3.0, 7), np.array([0.1, -0.0, 5e-324, 1e22, 1e-300,
+                                               -2.5e-7, math.pi]),
+          np.full(7, 1.0 / 3.0))),
+        (("q", "value", "flag"),
+         (np.array([-1.0, 0.0, 1.0]), np.array([0.5, 0.0, 0.25]),
+          ("extrapolated", "interior", "extrapolated"))),
+        (("x", "rate", "regime"), (np.array([0.1, 0.2]), np.array([1.5, 2.5]), [2, 2])),
+        (("logK", "implied_var", "regime"), (np.empty(0), np.empty(0), [])),
+    ], ids=["floats", "flag", "regime", "zero_rows"])
+    def test_bytes_match_the_row_loop(self, tmp_path, header, columns):
+        def row_loop(path):
+            # one write per row: the writer _write_csv replaced, kept as its
+            # reference
+            cols = [np.asarray(c).tolist() for c in columns]
+            with open(path, "w", encoding="utf-8", newline="") as fh:
+                fh.write(",".join(header) + "\r\n")
+                for row in zip(*cols):
+                    fh.write(",".join(map(str, row)) + "\r\n")
+
+        row_loop(tmp_path / "ref.csv")
+        model._write_csv(tmp_path / "a.csv", header, columns)
+        assert (tmp_path / "a.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
 
     def test_density_and_corrector(self, tmp_path):
         table = measures.invariant_density(OU, 0.0, measures.GridSpec(n=65))
@@ -488,6 +514,37 @@ class TestOwnChecksFirst:
         assert cli.dispatch([command, "--config", str(path), "--out", str(out),
                              "--regime", "2"]) == 1
         assert capsys.readouterr().err == f"error: {error}\n"
+        assert not any(out.iterdir())
+
+
+    @pytest.mark.parametrize("regime", ["2", "4"])
+    def test_price_at_the_money_reads_no_ingredient(self, regime, tmp_path,
+                                                    monkeypatch):
+        def ingredient(*args, **kwargs):
+            raise AssertionError("ingredient built")
+
+        monkeypatch.setattr(hamiltonian, "build_curve", ingredient)
+        monkeypatch.setattr(measures, "sigma_bar_sq", ingredient)
+        text, _ = _with_line("strike = 1.0")
+        path = tmp_path / "atm.cfg"
+        path.write_text(text, encoding="utf-8")
+        out = tmp_path / "out"
+        with pytest.warns(ATMWarning, match="degenerates to 0"):
+            assert cli.dispatch(["price", "--config", str(path), "--out",
+                                 str(out), "--regime", regime]) == 0
+        payload = {"strike": 1.0, "regime": int(regime), "t": 1.0,
+                   "log_price_asymptote": 0.0}
+        assert ((out / "price.json").read_bytes()
+                == json.dumps(payload, indent=2, sort_keys=True).encode())
+
+    def test_price_at_the_money_checks_t(self, tmp_path, capsys):
+        text, _ = _with_line("t = -1", _with_line("strike = 1.0")[0])
+        path = tmp_path / "atm.cfg"
+        path.write_text(text, encoding="utf-8")
+        out = tmp_path / "out"
+        assert cli.dispatch(["price", "--config", str(path), "--out", str(out),
+                             "--regime", "2"]) == 1
+        assert capsys.readouterr().err.startswith("error: t must be")
         assert not any(out.iterdir())
 
 
