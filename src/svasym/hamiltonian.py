@@ -123,14 +123,13 @@ def _top_eigen(d: np.ndarray, e: np.ndarray, lo: float, hi: float,
     # the tiny floor keeps the interval open where the potential vanishes
     pad = _BRACKET_PAD * hi + np.finfo(float).tiny
     tol = _EIGEN_RTOL * hi
-    found = 0
+    found, info = 0, 0
     if guess is not None and guess < hi:
         above, *_, info = dstebz(d, e, 1, guess + pad, hi + pad, 0, 0, hi, b"E")
         if info == 0 and above == 0:
             found, vals, block, split, info = dstebz(
                 d, e, 1, guess - pad, guess + pad, 0, 0, tol, b"E")
-            found *= info == 0
-    if found == 0:
+    if found == 0 or info != 0:
         found, vals, block, split, info = dstebz(
             d, e, 1, lo - pad, hi + pad, 0, 0, tol, b"E")
         if info != 0 or found == 0:
