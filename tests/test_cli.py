@@ -516,7 +516,6 @@ class TestOwnChecksFirst:
         assert capsys.readouterr().err == f"error: {error}\n"
         assert not any(out.iterdir())
 
-
     @pytest.mark.parametrize("regime", ["2", "4"])
     def test_price_at_the_money_reads_no_ingredient(self, regime, tmp_path,
                                                     monkeypatch):

@@ -20,6 +20,7 @@ CONST = ModelParams(m=0.0, nu=math.sqrt(2.0), beta=0.0, rho=0.0, r=0.0,
                     sigma=VolFnSpec.constant(0.2), y0=0.0)
 
 
+# tridiagonal, with eigenvalues near 0.990, 2.000 and 3.010
 TRI = (np.array([1.0, 2.0, 3.0]), np.array([0.1, 0.1]))
 # at p = 2 the eigenfunction reaches past the invariant law's window, so the
 # eigen route grows it
@@ -133,11 +134,13 @@ class TestBracketSolve:
         with pytest.raises(ResolutionError, match=r"bracket \[0\.0, 0\.0\]"):
             ham._rayleigh_top(OU, 0.0, measures._make_grid(OU, lo, hi, 1001))
 
-    # eigenvalues of TRI below: about 0.9900, 2.0000 and 3.0100
+    # a guess at the second eigenvalue or below the top meets the top in the
+    # count; one above the top finds its narrow bracket empty; one at hi is
+    # not used: each takes the potential's bracket
     @pytest.mark.parametrize("guess", ["second", "below_top", "above_top",
                                        "at_hi", "top"])
     @pytest.mark.parametrize("vector", [False, True])
-    def test_wrong_guess_takes_the_cold_bracket(self, guess, vector):
+    def test_guessed_solve_matches_the_cold_one(self, guess, vector):
         d, e = TRI
         lo, hi = 0.5, 3.5
         eig = np.linalg.eigvalsh(np.diag(d) + np.diag(e, 1) + np.diag(e, -1))
