@@ -49,6 +49,8 @@ from .simulate import (McConfig, McEstimate, _check_mc, log_mean_exp,
 
 EDGE_MASS_TOL = 1e-6
 MAX_WINDOW_GROWTH = 8
+MIN_EIGEN_NODES = 257     # fine-grid floor: at 129 nodes the CIR fixture at
+                          # p = 2 is off by 7.4x its Richardson error bar
 _SUP_BLOCK = 1 << 16      # objective samples per block of the sup scan
 _BRACKET_PAD = 1e-6       # pad of the eigenvalue bracket and half-width of
                           # the one about a guess, relative to its top
@@ -202,7 +204,9 @@ def hbar0_eigen(params: ModelParams, p: float, *,
     odd) keeps its mass away from the edges; TruncationError if that fails
     after repeated growth.  The fine grid (n nodes) is then solved once, on
     the window kept, for the eigenvalue alone, bracketed around the coarse
-    value.
+    value.  ResolutionError if the fine grid has fewer than
+    MIN_EIGEN_NODES nodes, where the value can miss by several times its
+    error bar.
 
     Each solve bisects only between the potential's bounds on the grid, to
     1e-12 of the larger, the fine one only within 1e-6 of that about the
@@ -220,9 +224,14 @@ def hbar0_eigen(params: ModelParams, p: float, *,
     if p == 0.0:
         return 0.0, 0.0
     spec = grid_spec or GridSpec()
+    n = spec.n if spec.n % 2 == 1 else spec.n + 1
+    if n < MIN_EIGEN_NODES:
+        raise ResolutionError(
+            f"the eigen route needs at least {MIN_EIGEN_NODES} grid nodes "
+            f"(grid n made odd), got {n}: on coarser grids Hbar0 misses by "
+            "more than its error estimate")
     y_lo, y_hi = _choose_window(params, p)
 
-    n = spec.n if spec.n % 2 == 1 else spec.n + 1
     for _ in range(MAX_WINDOW_GROWTH):
         lam_coarse, edge_mass = _rayleigh_top(
             params, p, _make_grid(params, y_lo, y_hi, (n - 1) // 2 + 1))

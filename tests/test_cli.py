@@ -225,6 +225,19 @@ class TestCsvArtifacts:
             blobs.append((out / "hamiltonian.csv").read_bytes())
         assert blobs[0] == blobs[1] != blobs[2]
 
+    def test_cli_hamiltonian_below_the_eigen_floor_exits_1(self, tmp_path, capsys):
+        path = tmp_path / "coarse.cfg"
+        path.write_text(BS_CFG.replace("sigma.kind = constant\nsigma.s0 = 0.2\n",
+                                       "sigma.kind = power_abs\nsigma.c = 1\n"
+                                       "sigma.q = 0.5\ngrid.n = 100\n"),
+                        encoding="utf-8")
+        out = tmp_path / "out"
+        assert cli.dispatch(["hamiltonian", "--config", str(path),
+                             "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: the eigen route needs at least 257 grid nodes")
+        assert not any(out.iterdir())
+
 
 class TestDispatch:
     def test_validate_writes_report(self, cfg_path, tmp_path):

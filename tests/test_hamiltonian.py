@@ -59,6 +59,21 @@ class TestEigen:
         val, _ = ham.hbar0_eigen(OU, 1.0)
         assert val >= 0.5 * sbar2 - 1e-8
 
+    # below the floor a value misses by more than its error bar: OU at p = 1
+    # is 40% off on 9 nodes (1.1x its bar), CIR at p = 2 2.2e-3 off on 129
+    # (7.4x); n = 128 is made odd, to 129 nodes
+    @pytest.mark.parametrize("params, p, n", [(OU, 1.0, 9), (CIR, 2.0, 128)],
+                             ids=["ou_9", "cir_129"])
+    def test_grid_below_the_floor_raises(self, params, p, n):
+        with pytest.raises(ResolutionError, match="at least 257 grid nodes"):
+            ham.hbar0_eigen(params, p, grid_spec=measures.GridSpec(n=n))
+
+    def test_grid_at_the_floor_is_within_its_bar(self):
+        # n = 256 is made odd, to the floor's 257 nodes
+        val, err = ham.hbar0_eigen(CIR, 2.0, grid_spec=measures.GridSpec(n=256))
+        ref, _ = ham.hbar0_eigen(CIR, 2.0, grid_spec=measures.GridSpec(n=16385))
+        assert abs(val - ref) <= err
+
     def test_error_estimate_is_honest(self):
         coarse, err = ham.hbar0_eigen(OU, 1.0, grid_spec=measures.GridSpec(n=513))
         fine, _ = ham.hbar0_eigen(OU, 1.0, grid_spec=measures.GridSpec(n=4097))
