@@ -1,15 +1,16 @@
-"""Time one layer of svasym on this checkout and on other source trees.
+"""Time one layer of svasym on one or more source trees.
 
-    python scripts/bench_layers.py LAYER [--tree NAME=PATH ...]
+    python scripts/bench_layers.py LAYER --tree NAME=PATH [--tree NAME=PATH ...]
 
-Run it from the repository root.  Each ``--tree`` names a side to compare
-(a ``git clone`` or ``git archive`` of another commit); this checkout is
-always the side ``change``.  Every measurement is a fresh Python process
-that imports svasym from ``TREE/src``; the sides run ROUNDS[LAYER] rounds,
-the order of the sides reversed every other round, and each time is kept
-as the median and quartiles over rounds.  Each tree's commit and the
-machine (cpu, cores, Python, numpy, scipy) are recorded with the results
-in BENCH_<LAYER>.json.
+Run it from the repository root.  The sides are the ``--tree`` arguments,
+in order: each names a source tree (a ``git clone`` or ``git archive`` of
+a commit; ``--tree change=.`` for this checkout).  Every measurement is a
+fresh Python process that imports svasym from ``TREE/src``; the sides run
+ROUNDS[LAYER] rounds, the order of the sides reversed every other round,
+and each time is kept as the median and quartiles over rounds, with the
+rounds in which each later side was faster than the first.  Each tree's
+commit and the machine (cpu, cores, Python, numpy, scipy) are recorded
+with the results in BENCH_<LAYER>.json.
 
 Layers:
 
@@ -205,11 +206,11 @@ def spread(values) -> dict:
             "rounds": [float(v) for v in values]}
 
 
-def change_wins(times: dict) -> dict:
-    """Rounds in which ``change`` took less time than each other side."""
-    return {f"rounds_change_faster_than_{name}":
-            sum(c < o for c, o in zip(times["change"], other))
-            for name, other in times.items() if name != "change"}
+def wins_over_first(times: dict) -> dict:
+    """Rounds in which each later side took less time than the first."""
+    first, *later = times
+    return {f"rounds_{name}_faster_than_{first}":
+            sum(t < f for t, f in zip(times[name], times[first])) for name in later}
 
 
 def bench_kernel(trees: dict) -> dict:
@@ -222,7 +223,7 @@ def bench_kernel(trees: dict) -> dict:
             runs = alternate(trees, ROUNDS["kernel"],
                              lambda tree, r: measure(tree, "kernel_case", args, threads))
             rows[row] = {"ns_per_path_step": {side: spread(ns) for side, ns in runs.items()},
-                         **change_wins(runs)}
+                         **wins_over_first(runs)}
     floor = [measure(ROOT, "sfc64_floor", [KERNEL_STEPS])
              for _ in range(ROUNDS["kernel"])]
     return {
@@ -245,7 +246,7 @@ def bench_eigen(trees: dict) -> dict:
     times = {name: [run["ms_per_point"] for run in side] for name, side in runs.items()}
     for name, side in runs.items():
         report[name] = {**side[0], "ms_per_point": spread(times[name])}
-    report.update(change_wins(times))
+    report.update(wins_over_first(times))
     return report
 
 
@@ -270,12 +271,11 @@ def machine() -> dict:
 def main():
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("layer", choices=sorted(ROUNDS))
-    ap.add_argument("--tree", action="append", default=[], metavar="NAME=PATH",
-                    help="another source tree to measure, e.g. parent=../parent")
+    ap.add_argument("--tree", action="append", required=True, metavar="NAME=PATH",
+                    help="a side, e.g. parent=../parent; repeat it for each side, in order")
     args = ap.parse_args()
     trees = {name: os.path.abspath(path)
              for name, path in (t.split("=", 1) for t in args.tree)}
-    trees["change"] = ROOT
 
     body = bench_kernel if args.layer == "kernel" else bench_eigen
     report = {"layer": args.layer, "rounds": ROUNDS[args.layer], **body(trees),

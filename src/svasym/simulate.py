@@ -202,10 +202,12 @@ class _FactorStepper:
     place; the scratch is allocated by the thread that builds the stepper.
     Each step of :meth:`steps` draws the normals into ``w`` (rows W1, W2 when
     ``correlated``, else W2 alone), clamps the state into ``yp``, yields to
-    the caller's accumulators, then advances ``y``.  beta = 0 uses the exact
-    linear propagator (exponential integrator), so the marginal law is exact
-    for every step size; beta >= 1/2 uses full-truncation Euler, with the
-    coefficients frozen at the positive part.  ``tilt`` = rho p adds the
+    the caller's accumulators, then advances ``y``.  sigma is read at ``yp``:
+    y itself at beta = 0, else valid from the clamp to the advance, whose
+    drift overwrites it.  beta = 0 uses the exact linear propagator
+    (exponential integrator), so the marginal law is exact for every step
+    size; beta >= 1/2 uses full-truncation Euler, with the coefficients
+    frozen at the positive part.  ``tilt`` = rho p adds the
     drift rho p sigma(y) nu |y|^beta and an ``h`` table (grid, h') the
     Girsanov shift nu^2 |y|^{2 beta} h'(y); a zero tilt is skipped.  Both
     drifts run on the factor's own clock, lam = 1.  Every operation keeps
@@ -232,18 +234,13 @@ class _FactorStepper:
             self._a = math.exp(-lam * dt)
             self._noise = params.nu * math.sqrt(0.5 * (1.0 - self._a * self._a))
         else:
-            self.yp, self._ys, self._ypb, self._d = (np.empty(n) for _ in range(4))
+            self.yp, self._ypb = np.empty(n), np.empty(n)
             self._noise = params.nu * math.sqrt(lam * dt)
-
-    def _state(self) -> np.ndarray:
-        """The state sigma is evaluated at: y itself at beta = 0, else y
-        clamped at 1e-300, so sigma_eval's domain scan is skipped."""
-        return self.y if self.params.beta == 0.0 else np.maximum(self.y, 1e-300, out=self._ys)
 
     def sigma(self) -> np.ndarray:
         """sigma at the clamped state of the current step, evaluated once."""
         if not self._sig_ok:
-            _sigma_into(self.params.sigma, self._state(), self._sig)
+            _sigma_into(self.params.sigma, self.yp, self._sig)
             self._sig_ok = True
         return self._sig
 
@@ -251,7 +248,7 @@ class _FactorStepper:
         """sigma^2 at the clamped state, written over the sigma buffer, which
         the caller may then scale in place; sigma() evaluates afresh."""
         self._sig_ok = False
-        return _sigma_sq_into(self.params.sigma, self._state(), self._sig)
+        return _sigma_sq_into(self.params.sigma, self.yp, self._sig)
 
     def terminal(self, *also: np.ndarray) -> None:
         """Clamp the final state at 0 in place when beta != 0; raises
@@ -311,7 +308,7 @@ class _FactorStepper:
         else:
             np.power(self.yp, prm.beta, out=ypb)
         extra = self._extra_drift()
-        d = np.subtract(prm.m, self.yp, out=self._d)
+        d = np.subtract(prm.m, self.yp, out=self.yp)  # yp's last read was above
         if self.lam != 1.0:
             d *= self.lam
         if extra is not None:
@@ -454,36 +451,38 @@ def ergodic_average(params: ModelParams, phi: Callable[[np.ndarray], np.ndarray]
     n_batches = 8
     n_steps, dt, burn_steps, stepper = _tilted_loop(params, T, mc, 0.0, None, None, T / 10.0)
     acc_steps = n_steps - burn_steps
+    if acc_steps < n_batches:
+        raise ValidationError(f"{acc_steps} steps follow the burn-in, fewer than the "
+                              f"{n_batches} time batches; increase T or steps_per_unit_time")
 
-    def run(st: _FactorStepper, batches: np.ndarray) -> np.ndarray:
+    def run(st: _FactorStepper, batches: np.ndarray) -> None:
         for k in st.steps(n_steps):
             if k >= burn_steps:
                 b = min((k - burn_steps) * n_batches // acc_steps, n_batches - 1)
                 batches[b] += phi(st.yp)
         st.terminal(batches)
-        return batches
 
-    def job(rng: np.random.Generator, lo: int, hi: int):
-        # one contiguous row per batch
-        return partial(run, stepper(rng, np.empty(hi - lo)), np.zeros((n_batches, hi - lo)))
-
-    # C order (paths, n_batches), so each path's batch sum below runs along a
-    # row; made once the blocks' steppers are gone
-    table = np.concatenate([q.T for q in _map_blocks(mc.paths, mc.seed, job)],
-                           out=np.empty((mc.paths, n_batches)))
+    # one contiguous row per batch; block [lo, hi) sums into its columns
+    table = np.zeros((n_batches, mc.paths))
+    _map_blocks(mc.paths, mc.seed, lambda rng, lo, hi: partial(
+        run, stepper(rng, np.empty(hi - lo)), table[:, lo:hi]))
     per_batch_steps = np.bincount(
         np.minimum(np.arange(acc_steps) * n_batches // acc_steps, n_batches - 1),
         minlength=n_batches)
-    # the statistics are reduced inside the table: sums, then batch means,
-    # then their deviations from the path mean, then those squared
-    path_means = table.sum(axis=1) / acc_steps
+    # path sums in numpy's pairwise order for 8 terms, ((b0 + b1) + (b2 + b3))
+    # + ((b4 + b5) + (b6 + b7)); then, in place, batch means minus path means
+    path_means = table[0] + table[1]
+    path_means += table[2] + table[3]
+    pair = table[4] + table[5]
+    pair += table[6] + table[7]
+    path_means += pair
+    path_means /= acc_steps
     value = float(np.mean(path_means))
     se = float(np.std(path_means, ddof=1) / math.sqrt(mc.paths)) if mc.paths > 1 else 0.0
-    table /= per_batch_steps
-    table -= path_means[:, None]
-    num = float(np.sum(table[:, :-1] * table[:, 1:]))
-    table *= table
-    den = float(np.sum(table))
+    table /= per_batch_steps[:, None]
+    table -= path_means
+    num = float(np.vdot(table[:-1], table[1:]))  # lag-1: row b times row b + 1
+    den = float(np.vdot(table, table))
     if den > 0 and num / den > 0.5:
         warnings.warn("within-path time batches are strongly autocorrelated; "
                       "increase T for a trustworthy error bar", VarianceWarning)

@@ -20,6 +20,12 @@ def test_kernel_case_runs(case):
     assert 0.0 < ns < float("inf")
 
 
+def test_later_sides_are_counted_against_the_first():
+    times = {"parent": [2.0, 2.0, 2.0], "change": [1.0, 3.0, 1.0], "other": [1.0, 1.0, 1.0]}
+    assert bench.wins_over_first(times) == {"rounds_change_faster_than_parent": 2,
+                                            "rounds_other_faster_than_parent": 3}
+
+
 def test_sfc64_floor_runs():
     assert 0.0 < bench.sfc64_floor(1) < float("inf")
 

@@ -206,34 +206,94 @@ class TestTiltedAndErgodic:
         with pytest.raises(StabilityError):
             simulate.ergodic_average(OU, lambda y: np.full_like(y, np.inf), 1.0, mc)
 
+    def test_ergodic_path_sum_is_pairwise(self):
+        # T = 0.09: one step per batch, so the batch sums are phi's values
+        # in turn.  Path sums keep numpy's pairwise order for 8 terms, that
+        # of a row sum: (1 + 0) + (2^-53 + 2^-53) is 1 + 2^-52, while
+        # 1 + 0 + 2^-53 + 2^-53 in sequence rounds to 1.  Two paths, since
+        # numpy sums a one-path (8, 1) column pairwise too.
+        values = iter([1.0, 0.0, 2.0 ** -53, 2.0 ** -53, 0.0, 0.0, 0.0, 0.0])
+        mc = simulate.McConfig(paths=2, steps_per_unit_time=100, seed=1)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", VarianceWarning)
+            est = simulate.ergodic_average(OU, lambda y: np.full_like(y, next(values)),
+                                           0.09, mc)
+        assert est.value == (1.0 + 2.0 ** -52) / 8
+
     def test_burn_in_bounds(self):
         mc = simulate.McConfig(paths=10)
         with pytest.raises(ValidationError):
             simulate.simulate_tilted(OU, 1.0, mc, burn_in=1.0)
 
+    def test_ergodic_needs_a_step_per_batch(self, monkeypatch):
+        # T = 0.05 at 100 steps a unit: 5 steps, none burnt in, for 8 batches
+        mc = simulate.McConfig(paths=1000, steps_per_unit_time=100, seed=1)
+        with monkeypatch.context() as patch:
+            patch.setattr(simulate, "_map_blocks", None)  # nothing is simulated
+            with pytest.raises(ValidationError, match="fewer than the 8 time batches"):
+                simulate.ergodic_average(OU, np.abs, 0.05, mc)
+        # T = 0.09: 9 steps, 1 burnt in, one step per batch
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            warnings.simplefilter("ignore", VarianceWarning)
+            est = simulate.ergodic_average(OU, np.abs, 0.09, mc)
+        assert math.isfinite(est.value) and est.stderr > 0.0
+
+
+def _traced_peak(run) -> int:
+    """The traced peak, in bytes, of run() with VarianceWarning silenced."""
+    tracemalloc.start()
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", VarianceWarning)
+            run()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+# Two blocks of CIR paths (beta = 1/2, rho = 0), at 1 and 2 threads: a wave
+# is one block at 1 thread and both at 2.  Each bound is the buffers the
+# run allocates, counted in block arrays of BLOCK_PATHS doubles.
+MEMORY_PATHS = 2 * simulate.BLOCK_PATHS
+BLOCK_ARRAY = simulate.BLOCK_PATHS * 8
+
 
 class TestErgodicMemory:
-    """ergodic_average reduces its statistics inside its (paths, 8) batch
-    table.  At two blocks the traced peak is that table plus the blocks'
-    (8, n) tables it is merged from: 16.13 MiB, 2.02 tables, at 1 and 2
-    threads (33.0 MiB while batch means, deviations and their square each
-    took a copy).  The bound of 2.5 tables leaves 3.9 MiB of margin, half
-    of what one more path-sized copy of the table would add."""
+    """ergodic_average sums into one (8, paths) table, block [lo, hi) into
+    its columns, and reduces its statistics inside it.  So its peak is the
+    table (64 bytes a path) plus one wave of blocks.  A block holds its
+    stepper's state y, W2, sigma, y+ and y+^beta, phi's value, and the
+    finiteness mask of its 8 batch rows (1 byte each): 7 block arrays.
+    After the blocks, the path sums take 3 path arrays, fewer than a wave.
+    The bound is then 11.5 MiB at 1 thread and 15 MiB at 2; the table and
+    its per-block copies peaked at 16.13 MiB (2.02 tables) before they
+    were one table, and 11.01 and 13.5-14.0 MiB after."""
 
     @pytest.mark.parametrize("threads", ["1", "2"])
     def test_traced_peak_is_bounded(self, threads, monkeypatch):
         monkeypatch.setenv("SVASYM_THREADS", threads)
-        mc = simulate.McConfig(paths=2 * simulate.BLOCK_PATHS, seed=3)
-        table_bytes = mc.paths * 8 * 8
-        tracemalloc.start()
-        try:
-            with warnings.catch_warnings():
-                warnings.simplefilter("ignore", VarianceWarning)
-                simulate.ergodic_average(CIR, lambda y: y, 0.2, mc)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak < 2.5 * table_bytes
+        mc = simulate.McConfig(paths=MEMORY_PATHS, seed=3)
+        peak = _traced_peak(lambda: simulate.ergodic_average(CIR, lambda y: y, 0.2, mc))
+        assert peak < mc.paths * 8 * 8 + int(threads) * 7 * BLOCK_ARRAY
+
+
+class TestTiltedMemory:
+    """simulate_tilted's peak is its results y, I and J (24 bytes a path)
+    plus one wave of blocks.  A block's stepper holds W2, sigma, y+ and
+    y+^beta (its y is the result's slice), and rho != 0 adds the scratch
+    of I and J; the bound counts those 5 block arrays, which covers the
+    finiteness masks (1 byte a path each) here at rho = 0.  That is 5.5 MiB
+    at 1 thread and 8 MiB at 2; the peak was 6.07 and 9.08 MiB while the
+    stepper also kept the state clamped at 1e-300 and its drift apart, and
+    5.07 and 7.08 MiB after."""
+
+    @pytest.mark.parametrize("threads", ["1", "2"])
+    def test_traced_peak_is_bounded(self, threads, monkeypatch):
+        monkeypatch.setenv("SVASYM_THREADS", threads)
+        mc = simulate.McConfig(paths=MEMORY_PATHS, seed=3)
+        peak = _traced_peak(lambda: simulate.simulate_tilted(CIR, 0.2, mc, burn_in=0.02))
+        assert peak < mc.paths * 3 * 8 + int(threads) * 5 * BLOCK_ARRAY
 
 
 class TestUncorrelatedTilted:
@@ -303,9 +363,9 @@ def _tilted(params, p, h=H_TABLE):
 
 
 def _ergodic(params, phi):
-    # ergodic_average's 8 batches: numpy sums 8 per-path batch values pairwise
-    # along a contiguous row but in sequence along a strided one, so the
-    # digest also pins the memory layout of the batch table
+    # value and stderr round away the order of each path's batch sum (a
+    # sequential sum moves 40% of the path sums here, not the digest);
+    # test_ergodic_path_sum_is_pairwise pins that order
     mc = simulate.McConfig(paths=GOLDEN_PATHS, steps_per_unit_time=100,
                            seed=103)
     with warnings.catch_warnings(record=True) as caught:
