@@ -22,9 +22,10 @@ The calling thread allocates every path-sized buffer: the result arrays
 once, and each block's stepper state, accumulators and scratch as its wave
 of blocks (one per worker) comes up.  The block threads only step those
 buffers, in place; the only arrays they make are the values of
-``ergodic_average``'s phi and of the ``h`` drift.  So the buffers come from
-the calling thread's heap, not from the arenas of short-lived threads,
-whose freed blocks would stay resident between calls.
+``ergodic_average``'s phi and of the ``h`` drift, and for a tabulated sigma
+the ``np.interp`` and ``copyto`` temporaries of ``model._sigma_into``.  So
+the buffers come from the calling thread's heap, not from the arenas of
+short-lived threads, whose freed blocks would stay resident between calls.
 
 The tilted factor process (``simulate_tilted``) accumulates
 I = int sigma^2 ds and J = int sigma dW2.  Every reader of J multiplies it
@@ -46,7 +47,6 @@ from functools import partial
 from typing import Callable, Optional, Tuple
 
 import numpy as np
-from scipy.special import logsumexp
 
 from .errors import StabilityError, ValidationError, VarianceWarning
 from .model import (ModelParams, Regime, _check_time, _diffusion_sq, _sigma_into,
@@ -253,7 +253,9 @@ class _FactorStepper:
     def terminal(self, *also: np.ndarray) -> None:
         """Clamp the final state at 0 in place when beta != 0; raises
         StabilityError if it, or any array in ``also``, is not finite."""
-        if not all(np.all(np.isfinite(a)) for a in (*also, self.y)):
+        # min and max propagate NaN, so no bool mask is made
+        if not all(math.isfinite(a.min()) and math.isfinite(a.max())
+                   for a in (*also, self.y)):
             raise StabilityError("non-finite state encountered; step too coarse")
         if self.params.beta != 0.0:
             np.maximum(self.y, 0.0, out=self.y)
@@ -490,10 +492,15 @@ def ergodic_average(params: ModelParams, phi: Callable[[np.ndarray], np.ndarray]
 
 
 def log_mean_exp(samples: np.ndarray) -> Tuple[float, float]:
-    """log of the sample mean of exp(samples), with a delta-method standard
-    error of the log."""
-    n = samples.size
-    lme = float(logsumexp(samples) - math.log(n))
-    z = np.exp(samples - np.max(samples))
-    se = float(np.std(z, ddof=1) / (np.mean(z) * math.sqrt(n))) if n > 1 else 0.0
-    return lme, se
+    """(log of the sample mean of exp(samples), delta-method relative SE of
+    that mean), or (-inf, inf) when every sample is -inf.  Consumes
+    ``samples``: the reduction runs in place in it, shifted by the max."""
+    n, top = samples.size, float(np.max(samples))
+    if top == -math.inf:
+        return -math.inf, math.inf
+    samples -= top
+    w = np.exp(samples, out=samples)
+    mean = float(np.mean(w))
+    w -= mean
+    var = float(np.sum(np.multiply(w, w, out=w))) / max(n - 1, 1)
+    return top + math.log(mean), math.sqrt(var / n) / mean

@@ -91,13 +91,13 @@ def _log_tail(params: ModelParams, regime: Regime, eps: float, t: float,
     N(mu, s^2) with mu = x0 + eps (r t - I/2) + rho sqrt(eps) J and
     s^2 = eps (1 - rho^2) I, where I = int sigma^2 ds and J = int sigma dW2
     in slow time.  So P is the path mean of Phi-bar(+-(x - mu)/s), taken in
-    log space.  The factor runs on its own clock u = lam s, with the same
-    steps as ``simulate_xy`` and W2 draws only; the returned arrays are
-    reused in place.
+    log space by ``simulate.log_mean_exp``.  The factor runs on its own
+    clock u = lam s, with the same steps as ``simulate_xy`` and W2 draws
+    only; the returned arrays are reused in place.
     """
     lam = eps / eps ** regime.r
     tb = simulate.simulate_tilted(params, lam * t, mc)
-    rho, n = params.rho, mc.paths
+    rho = params.rho
     z, s, scratch = tb.int_sigma_dw2, tb.int_sigma_sq, tb.y
     z *= rho * math.sqrt(eps / lam)                  # rho sqrt(eps) J
     z -= np.multiply(s, 0.5 * eps / lam, out=scratch)
@@ -109,17 +109,7 @@ def _log_tail(params: ModelParams, regime: Regime, eps: float, t: float,
     np.copyto(z, -np.inf, where=np.isnan(z))         # s = 0 and mu = x: P = 0
     if not upper:
         np.negative(z, out=z)
-    log_p = log_ndtr(z, out=z)
-    top = float(np.max(log_p))
-    if top == -math.inf:
-        return -math.inf, math.inf
-    # log-sum-exp: w = P / max P, then the delta-method SE of the mean
-    log_p -= top
-    w = np.exp(log_p, out=log_p)
-    mean = float(np.mean(w))
-    w -= mean
-    var = float(np.sum(np.multiply(w, w, out=scratch))) / max(n - 1, 1)
-    return top + math.log(mean), math.sqrt(var / n) / mean
+    return simulate.log_mean_exp(log_ndtr(z, out=z))
 
 
 def _check_tail(params: ModelParams, x: float, eps_sequence: Sequence[float],

@@ -5,11 +5,12 @@ import threading
 import tracemalloc
 import warnings
 from dataclasses import replace
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from svasym import simulate
+from svasym import hamiltonian, simulate
 from svasym.errors import StabilityError, ValidationError, VarianceWarning
 from svasym.model import ModelParams, Regime, VolFnSpec
 
@@ -259,16 +260,35 @@ MEMORY_PATHS = 2 * simulate.BLOCK_PATHS
 BLOCK_ARRAY = simulate.BLOCK_PATHS * 8
 
 
+def _tilted_bound(threads: str) -> int:
+    """simulate_tilted's results, 3 path arrays, plus one wave of blocks of
+    5 block arrays each (see TestTiltedMemory)."""
+    return MEMORY_PATHS * 3 * 8 + int(threads) * 5 * BLOCK_ARRAY
+
+
 class TestErgodicMemory:
     """ergodic_average sums into one (8, paths) table, block [lo, hi) into
     its columns, and reduces its statistics inside it.  So its peak is the
     table (64 bytes a path) plus one wave of blocks.  A block holds its
-    stepper's state y, W2, sigma, y+ and y+^beta, phi's value, and the
-    finiteness mask of its 8 batch rows (1 byte each): 7 block arrays.
-    After the blocks, the path sums take 3 path arrays, fewer than a wave.
-    The bound is then 11.5 MiB at 1 thread and 15 MiB at 2; the table and
-    its per-block copies peaked at 16.13 MiB (2.02 tables) before they
-    were one table, and 11.01 and 13.5-14.0 MiB after."""
+    stepper's state y, W2, sigma, y+ and y+^beta and phi's value (none
+    here, where phi returns its argument): 6 block arrays, and its
+    finiteness check makes no mask.  After the blocks, the path sums take
+    3 path arrays, 6 block arrays.  The bound counts 7 block arrays a
+    thread: 11.5 MiB at 1 thread and 15 MiB at 2.  The table and its
+    per-block copies peaked at 16.13 MiB (2.02 tables) before they were one
+    table; then 11.01 and 13.5-14.0 MiB while the check made a bool mask of
+    the 8 rows, and 11.00 and 13.02 MiB without it."""
+
+    def test_terminal_check_makes_no_mask(self):
+        table = np.zeros((8, MEMORY_PATHS))
+        rows = table[:, :simulate.BLOCK_PATHS]  # one block's batch rows
+        st = simulate._FactorStepper(CIR, simulate._block_rng(3, 0),
+                                     np.empty(simulate.BLOCK_PATHS), CIR.y0, 1.0, 0.01)
+        assert _traced_peak(lambda: st.terminal(rows)) < BLOCK_ARRAY // 64
+        for bad in (math.nan, -math.inf):
+            rows[5, 7] = bad
+            with pytest.raises(StabilityError):
+                st.terminal(rows)
 
     @pytest.mark.parametrize("threads", ["1", "2"])
     def test_traced_peak_is_bounded(self, threads, monkeypatch):
@@ -282,18 +302,35 @@ class TestTiltedMemory:
     """simulate_tilted's peak is its results y, I and J (24 bytes a path)
     plus one wave of blocks.  A block's stepper holds W2, sigma, y+ and
     y+^beta (its y is the result's slice), and rho != 0 adds the scratch
-    of I and J; the bound counts those 5 block arrays, which covers the
-    finiteness masks (1 byte a path each) here at rho = 0.  That is 5.5 MiB
-    at 1 thread and 8 MiB at 2; the peak was 6.07 and 9.08 MiB while the
-    stepper also kept the state clamped at 1e-300 and its drift apart, and
-    5.07 and 7.08 MiB after."""
+    of I and J; the bound counts those 5 block arrays, one more than run
+    here at rho = 0, and the finiteness check makes no mask.  That is
+    5.5 MiB at 1 thread and 8 MiB at 2; the peak was 6.07 and 9.08 MiB
+    while the stepper also kept the state clamped at 1e-300 and its drift
+    apart, and 5.07 and 7.08 MiB after."""
 
     @pytest.mark.parametrize("threads", ["1", "2"])
     def test_traced_peak_is_bounded(self, threads, monkeypatch):
         monkeypatch.setenv("SVASYM_THREADS", threads)
         mc = simulate.McConfig(paths=MEMORY_PATHS, seed=3)
         peak = _traced_peak(lambda: simulate.simulate_tilted(CIR, 0.2, mc, burn_in=0.02))
-        assert peak < mc.paths * 3 * 8 + int(threads) * 5 * BLOCK_ARRAY
+        assert peak < _tilted_bound(threads)
+
+
+class TestHbarMemory:
+    """hbar0_direct and hbar0_mc reduce each tilted batch with log_mean_exp,
+    in place in the one array that holds the form's exponent, so their peak
+    is simulate_tilted's, within TestTiltedMemory's bound; the forms' own
+    arrays come after the blocks are freed.  The peak was 9.13 MiB at 1 and
+    2 threads while log_mean_exp made path-sized temporaries (scipy's
+    logsumexp, exp(s - max) and np.std), and 5.07 and 7.09 MiB after."""
+
+    @pytest.mark.parametrize("threads", ["1", "2"])
+    @pytest.mark.parametrize("form", ["hbar0_direct", "hbar0_mc"])
+    def test_traced_peak_is_bounded(self, form, threads, monkeypatch):
+        monkeypatch.setenv("SVASYM_THREADS", threads)
+        mc = simulate.McConfig(paths=MEMORY_PATHS, seed=3)
+        peak = _traced_peak(lambda: getattr(hamiltonian, form)(CIR, 1.0, 10.5, mc))
+        assert peak < _tilted_bound(threads)
 
 
 class TestUncorrelatedTilted:
@@ -319,17 +356,44 @@ class TestUncorrelatedTilted:
 
 
 class TestEstimators:
+    """log_mean_exp consumes its argument: a test that reads the samples
+    again passes a copy."""
+
     def test_log_mean_exp_matches_direct(self):
         rng = np.random.default_rng(0)
         samples = rng.normal(size=500)
-        lme, se = simulate.log_mean_exp(samples)
+        lme, se = simulate.log_mean_exp(samples.copy())
         assert lme == pytest.approx(math.log(np.mean(np.exp(samples))),
                                     abs=1e-12)
         assert se > 0.0
 
+    def test_log_mean_exp_makes_no_sample_sized_array(self):
+        samples = np.random.default_rng(1).normal(size=simulate.BLOCK_PATHS)
+        assert _traced_peak(lambda: simulate.log_mean_exp(samples)) < BLOCK_ARRAY // 8
+
+    def test_log_mean_exp_all_minus_inf(self):
+        assert simulate.log_mean_exp(np.full(4, -np.inf)) == (-math.inf, math.inf)
+
+    def test_log_mean_exp_one_sample_has_zero_se(self):
+        assert simulate.log_mean_exp(np.array([-3.5])) == (-3.5, 0.0)
+
     def test_log_mean_exp_overflow_safe(self):
-        lme, _ = simulate.log_mean_exp(np.array([1000.0, 1000.0]))
+        lme, se = simulate.log_mean_exp(np.array([1000.0, 1000.0]))
         assert lme == pytest.approx(1000.0, abs=1e-9)
+        assert se == 0.0
+
+    def test_log_mean_exp_matches_exact_reference(self):
+        # w = exp(s - max s) = (e^-2, e^-1, 1); mean and variance of w from
+        # exact rational sums of the float weights
+        samples = [-1.5, -0.5, 0.5]
+        w = [Fraction(math.exp(s - 0.5)) for s in samples]
+        mean = sum(w) / 3
+        var = sum((x - mean) ** 2 for x in w) / 2
+        lme, se = simulate.log_mean_exp(np.array(samples))
+        assert lme == pytest.approx(0.5 + math.log(mean), rel=1e-15)
+        assert se == pytest.approx(math.sqrt(var / 3) / mean, rel=1e-15)
+        assert lme == pytest.approx(math.log(math.fsum(map(math.exp, samples)) / 3),
+                                    rel=1e-15)
 
 
 # Outputs pinned bit for bit: any change to the kernels' arithmetic, operand
