@@ -490,10 +490,10 @@ def _hbar_mc(params, p, steps):
 
 
 MC_GOLDEN = {
-    "cir": (lambda: _hbar_mc(CIR, 1.0, 100), "a3e70320fab33691"),
-    "cir_rho": (lambda: _hbar_mc(replace(CIR, rho=-0.5), -1.0, 100), "c9e50d17d57c333a"),
-    "ou_rho": (lambda: _hbar_mc(OU_CORR, 0.5, 20), "68657f037c047230"),
-    "ou_rho_negative_p": (lambda: _hbar_mc(OU_CORR, -1.0, 20), "82b5c515644e9ed6"),
+    "cir": (lambda: _hbar_mc(CIR, 1.0, 100), "5442faa461687373"),
+    "cir_rho": (lambda: _hbar_mc(replace(CIR, rho=-0.5), -1.0, 100), "7702f19c67c92ae1"),
+    "ou_rho": (lambda: _hbar_mc(OU_CORR, 0.5, 20), "579ced5f8421fdae"),
+    "ou_rho_negative_p": (lambda: _hbar_mc(OU_CORR, -1.0, 20), "94abf50fca3a0f5c"),
 }
 
 
